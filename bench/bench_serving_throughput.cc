@@ -780,13 +780,12 @@ size_t MaxServableTokens(const ModelConfig& model, const CostModel& cost,
                          uint64_t budget_bytes, size_t devices, size_t gang) {
   RequestSchedulerOptions sopts;
   sopts.gpu_budget_bytes = budget_bytes;
-  sopts.devices = devices;
   sopts.max_gang_size = gang;
   const WindowConfig wcfg{32, 128};
   // Fresh scheduler per probe: Enqueue holds no reservation, but reusing one
   // instance would trip the backlog cap long before the search converges.
   auto fits = [&](size_t tokens) {
-    RequestScheduler sched(model, wcfg, cost, sopts);
+    RequestScheduler sched(model, wcfg, cost, sopts, devices);
     ServingRequest r;
     r.prompt.assign(tokens, 7);
     r.max_new_tokens = 1;
@@ -927,7 +926,7 @@ int RunGangScaling(size_t gang_size, const char* json_path) {
     eopts.scheduler.max_concurrent_sessions = 1;
     eopts.scheduler.gpu_budget_bytes = budget;
     eopts.devices = devices;
-    eopts.max_gang_size = gang;
+    eopts.scheduler.max_gang_size = gang;
     eopts.pool = &pool;
     ServingEngine engine(&db, eopts);
     ServingRequest req = MakeRequest(tenant, kGangSteps, false);

@@ -297,32 +297,11 @@ ContextStore::PrefixMatch ContextStore::BestPrefixMatch(
   best.id = hit.id;
   best.length = it->second.tokens.size();
   best.spilled = it->second.context == nullptr;
+  best.device = best.spilled ? it->second.resident_device
+                             : it->second.context->resident_device();
   best.context = it->second.context.get();
   best.ref = it->second.context;
   return best;
-}
-
-size_t ContextStore::BestPrefixMatchLength(std::span<const int32_t> tokens) const {
-  // Same trie walk session creation's match uses, minus the pin — probe-based
-  // admission estimates can never diverge from the matching semantics.
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return prefix_index_.BestPrefix(tokens).matched;
-}
-
-ContextStore::PrefixProbe ContextStore::BestPrefixProbe(
-    std::span<const int32_t> tokens) const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  PrefixProbe out;
-  const TokenTrie::Best hit = prefix_index_.BestPrefix(tokens);
-  if (hit.matched == 0) return out;
-  auto it = contexts_.find(hit.id);
-  if (it == contexts_.end()) return out;  // Unreachable while coherent.
-  out.matched = hit.matched;
-  out.context_id = hit.id;
-  out.spilled = it->second.context == nullptr;
-  out.device = out.spilled ? it->second.resident_device
-                           : it->second.context->resident_device();
-  return out;
 }
 
 bool ContextStore::Remove(uint64_t id) {

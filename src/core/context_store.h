@@ -96,7 +96,7 @@ class Context {
   /// A session on another device pays a modeled cross-device transfer for the
   /// device-resident window it pulls over (AlayaDB::CreateSession), after
   /// which residency follows it (last-user-wins). Placement policies read
-  /// this through ContextStore::BestPrefixProbe for the affinity bonus.
+  /// this through ContextStore::BestPrefixMatch for the affinity bonus.
   int resident_device() const { return resident_device_.load(std::memory_order_relaxed); }
   void set_resident_device(int device) {
     resident_device_.store(device, std::memory_order_relaxed);
@@ -146,6 +146,10 @@ class ContextStore {
     /// tokens — page it in through the tiered store to use it.
     bool spilled = false;
     size_t length = 0;  ///< Full stored sequence length of the match.
+    /// Device whose caches are warm for the match — the placement affinity
+    /// target: the context's live residency, or the snapshot taken at spill
+    /// (the manifest's device) for a spilled match. -1 when nothing matched.
+    int device = -1;
     bool full() const { return matched > 0 && matched == length; }
   };
 
@@ -226,27 +230,10 @@ class ContextStore {
   /// the linear scan this replaced. The trie indexes exactly the published
   /// set — Add/Publish insert, Remove erases, pending reservations are
   /// invisible until published, spilled entries stay (match.spilled set).
+  /// Also the admission probe: the store may change before the session is
+  /// actually created, so callers treat the result as an estimate, not a
+  /// reservation (the pin keeps only the matched payload alive).
   PrefixMatch BestPrefixMatch(std::span<const int32_t> tokens) const;
-
-  /// Length of the longest stored prefix of `tokens`, without pinning the
-  /// matched context — the cheap probe admission control uses to project how
-  /// many prompt tokens a request would have to prefill. The store may change
-  /// before the session is actually created; callers treat this as an
-  /// estimate, not a reservation.
-  size_t BestPrefixMatchLength(std::span<const int32_t> tokens) const;
-
-  /// Everything placement-aware admission wants from one trie walk, still
-  /// without pinning: the match length plus the winning context's id and
-  /// device residency (the affinity target). device == -1 when nothing
-  /// matched; `spilled` tells the serving layer to prefetch the page-in off
-  /// the decode path. Same TOCTOU caveat as BestPrefixMatchLength.
-  struct PrefixProbe {
-    size_t matched = 0;
-    uint64_t context_id = 0;
-    int device = -1;
-    bool spilled = false;
-  };
-  PrefixProbe BestPrefixProbe(std::span<const int32_t> tokens) const;
 
   bool Remove(uint64_t id);
   /// Published entries, resident AND spilled.

@@ -41,15 +41,15 @@ void ApplyReservationShares(std::vector<DeviceLoad>* loads,
 
 RequestScheduler::RequestScheduler(const ModelConfig& model,
                                    const WindowConfig& window, const CostModel& cost,
-                                   const RequestSchedulerOptions& options)
+                                   const RequestSchedulerOptions& options,
+                                   size_t devices)
     : model_(model), window_(window), cost_(cost), options_(options) {
   // A zero cap would deadlock Admit; one session must always be able to run.
   options_.max_concurrent_sessions = std::max<size_t>(1, options_.max_concurrent_sessions);
   options_.prefill_chunk_tokens = std::max<size_t>(1, options_.prefill_chunk_tokens);
   options_.min_prefill_tokens = std::max<size_t>(1, options_.min_prefill_tokens);
-  options_.devices = std::max<size_t>(1, options_.devices);
-  options_.max_gang_size =
-      std::clamp<size_t>(options_.max_gang_size, 1, options_.devices);
+  devices = std::max<size_t>(1, devices);
+  options_.max_gang_size = std::clamp<size_t>(options_.max_gang_size, 1, devices);
   placement_ = options_.placement != nullptr
                    ? options_.placement
                    : std::make_shared<const BestFitPlacement>();
@@ -59,12 +59,7 @@ RequestScheduler::RequestScheduler(const ModelConfig& model,
     placement_ =
         std::make_shared<const GangPlacement>(options_.max_gang_size, placement_);
   }
-  // FairSharePolicy is a safe default: single-tenant, uniform-priority,
-  // no-deadline traffic (everything that existed before policies) orders
-  // exactly FIFO under it.
-  policy_ = options_.policy != nullptr ? options_.policy
-                                       : std::make_shared<const FairSharePolicy>();
-  loads_.resize(options_.devices);
+  loads_.resize(devices);
   for (size_t d = 0; d < loads_.size(); ++d) {
     loads_[d].device = static_cast<int>(d);
     loads_[d].budget_bytes = options_.gpu_budget_bytes;
@@ -185,9 +180,7 @@ size_t RequestScheduler::GrantChunk(size_t remaining_need, size_t* budget_left) 
 }
 
 AdmissionEstimate RequestScheduler::Estimate(const ServingRequest& request) const {
-  const size_t reused =
-      options_.prefix_probe != nullptr ? options_.prefix_probe(request.prompt) : 0;
-  return Estimate(request, reused);
+  return Preflight(request).estimate;
 }
 
 PlacementDecision RequestScheduler::PlaceLocked(const Admitted& item) const {
@@ -220,21 +213,10 @@ std::chrono::steady_clock::time_point RequestScheduler::Admitted::Deadline() con
 
 RequestScheduler::EnqueuePreflight RequestScheduler::Preflight(
     const ServingRequest& request) const {
-  EnqueuePreflight pre;
-  if (options_.placement_probe != nullptr) {
-    // One trie walk, one store snapshot: estimate and affinity agree on the
-    // matched context by construction.
-    const RequestSchedulerOptions::PrefixProbeResult probe =
-        options_.placement_probe(request.prompt);
-    pre.estimate = Estimate(request, probe.matched);
-    pre.affinity_device = probe.affinity_device;
-    return pre;
-  }
-  pre.estimate = Estimate(request);
-  pre.affinity_device = options_.affinity_probe != nullptr
-                            ? options_.affinity_probe(request.prompt)
-                            : -1;
-  return pre;
+  const RequestSchedulerOptions::PrefixProbeResult probe =
+      options_.prefix_probe != nullptr ? options_.prefix_probe(request.prompt)
+                                       : RequestSchedulerOptions::PrefixProbeResult{};
+  return {Estimate(request, probe.matched), probe.affinity_device};
 }
 
 Result<uint64_t> RequestScheduler::Enqueue(ServingRequest request) {
@@ -336,7 +318,7 @@ void RequestScheduler::AdviseVictimsLocked(const Admitted& blocked,
     running.push_back(r);
   }
   const std::vector<uint64_t> ranked =
-      policy_->RankVictims(ViewOfLocked(blocked), running);
+      policy_.RankVictims(ViewOfLocked(blocked), running);
   if (ranked.empty()) return;
 
   // Simulate suspending a growing prefix of the ranking until the blocked
@@ -378,7 +360,7 @@ std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
     std::vector<QueuedRequestView> views;
     views.reserve(pending_.size());
     for (const Admitted& p : pending_) views.push_back(ViewOfLocked(p));
-    const size_t pick = policy_->PickNext(views, ledger_);
+    const size_t pick = policy_.PickNext(views, ledger_);
     if (pick >= pending_.size()) break;
     Admitted& cand = pending_[pick];
 
@@ -415,12 +397,12 @@ std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
       }
       // Blocked pick: optionally advise preemption, then stop — no bypass
       // past the policy's choice (admission order stays deterministic).
-      if (preempt_victims != nullptr && options_.preemption) {
+      if (preempt_victims != nullptr) {
         AdviseVictimsLocked(cand, preempt_victims);
       }
       break;
     }
-    policy_->OnAdmitted(views, pick, &ledger_);
+    policy_.OnAdmitted(views, pick, &ledger_);
     cand.device = placed.device;
     cand.gang = placed.gang() ? placed.gang_members
                               : std::vector<int>{placed.device};

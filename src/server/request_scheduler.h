@@ -4,11 +4,11 @@
 // suffix + window + decoded tail at deployed KV precision) and projected
 // per-step modeled device times for both of its phases: a chunked prefill
 // phase over the prompt tokens no stored context covers, then steady-state
-// decode (CostModel). The scheduler admits requests in the order a pluggable
-// SchedulingPolicy picks them — strict priority classes with weighted
-// fair-share across tenants and EDF within a tenant by default, exact
-// historical FIFO under FifoPolicy — while the aggregate stays under the GPU
-// memory budget (and, optionally, a per-step TPOT SLO), and queues the rest —
+// decode (CostModel). The scheduler admits requests in the order its
+// FairSharePolicy picks them — strict priority classes with weighted
+// fair-share across tenants and EDF within a tenant, exact FIFO for
+// single-class traffic — while the aggregate stays under the GPU memory
+// budget (and, optionally, a per-step TPOT SLO), and queues the rest —
 // the provider-side knob the paper's MaaS scenario needs ("heavy traffic",
 // §2): memory decides *whether* a session may run, the cost model decides
 // *how many* may run at once, the policy decides *who goes first* — and,
@@ -74,10 +74,10 @@ struct ServingRequest {
   /// kDeadlineExceeded at the next step boundary of a running engine; tokens
   /// already streamed stand.
   double deadline_seconds = 0;
-  /// Scheduling class: higher admits strictly first, and (when preemption is
-  /// enabled) a blocked higher-class request may suspend running lower-class
-  /// sessions to make room. Equal-priority traffic is ordered by the
-  /// SchedulingPolicy (fair-share across tenants, EDF within a tenant).
+  /// Scheduling class: higher admits strictly first, and a blocked
+  /// higher-class request may suspend running lower-class sessions to make
+  /// room. Equal-priority traffic is ordered by FairSharePolicy (fair-share
+  /// across tenants, EDF within a tenant).
   int priority = 0;
   /// Fair-share identity: requests of the same tenant share one weighted
   /// deficit account (RequestSchedulerOptions::tenant_weights). The default
@@ -136,34 +136,22 @@ struct RequestSchedulerOptions {
   /// request whose projected chunk time blows the budget decodes alone
   /// instead of dragging every co-resident session past its TPOT.
   double tpot_slo_seconds = 0;
-  /// Simulated devices the scheduler places across (clamped to >= 1). The
-  /// serving engine mirrors its `devices` option here and grows the
-  /// environment's DeviceSet to match.
-  size_t devices = 1;
   /// Device selection strategy (nullptr -> BestFitPlacement: best-fit by free
   /// KV bytes with an affinity win for the device already holding the
   /// request's matched prefix context).
   std::shared_ptr<const PlacementPolicy> placement;
-  /// Probe returning the device where the best-prefix context for a prompt
-  /// currently resides (-1 = no match) — the placement affinity signal. Null
-  /// means no affinity information (every placement is cold). Only consulted
-  /// when placement_probe is unset.
-  std::function<int(std::span<const int32_t>)> affinity_probe;
-  /// Combined store probe: matched prefix length AND the matched context's
-  /// device from ONE trie walk over ONE store snapshot (the serving engine
-  /// wires this to ContextStore::BestPrefixProbe). When set, Preflight uses
-  /// it instead of the prefix_probe + affinity_probe pair — halving store
-  /// read-lock pressure per Submit and guaranteeing the estimate and the
-  /// affinity target agree on which context matched.
+  /// Store probe: the longest stored-context prefix of a prompt AND the
+  /// device where that context resides (-1 = no match), from ONE trie walk
+  /// over ONE store snapshot (the serving engine wires this to
+  /// ContextStore::BestPrefixMatch) — so the admission estimate and the
+  /// placement affinity target agree on which context matched. Null means no
+  /// reuse information: every prompt token is assumed to need prefill (the
+  /// conservative upper bound) and every placement is cold.
   struct PrefixProbeResult {
     size_t matched = 0;
     int affinity_device = -1;
-    /// The matched context is spilled to disk (tiered store): the probe is
-    /// the prefetch point — the engine's default probe starts the page-in
-    /// here, off the decode path, so CreateSession finds it resident.
-    bool spilled = false;
   };
-  std::function<PrefixProbeResult(std::span<const int32_t>)> placement_probe;
+  std::function<PrefixProbeResult(std::span<const int32_t>)> prefix_probe;
   /// Prompt tokens one prefilling session pushes through all layers per engine
   /// step. Smaller chunks interleave more fairly with decoding sessions (lower
   /// TPOT impact); larger chunks finish prefill in fewer steps.
@@ -182,27 +170,13 @@ struct RequestSchedulerOptions {
   /// (clamped to >= 1 — a zero floor would livelock prefill behind a large
   /// decode batch).
   size_t min_prefill_tokens = 1;
-  /// Probe returning the longest stored-context prefix of a prompt (the
-  /// serving engine wires this to ContextStore::BestPrefixMatchLength). Null
-  /// means no reuse information: every prompt token is assumed to need
-  /// prefill, the conservative upper bound.
-  std::function<size_t(std::span<const int32_t>)> prefix_probe;
-  /// Admission-ordering / preemption strategy (nullptr -> FairSharePolicy:
-  /// strict priority classes, weighted deficit round-robin across tenants
-  /// over modeled device-seconds, EDF within a tenant — which degenerates to
-  /// exact FIFO for single-tenant uniform-priority no-deadline traffic).
-  /// FifoPolicy restores the historical scheduler bit-identically.
-  std::shared_ptr<const SchedulingPolicy> policy;
   /// Fair-share weight per tenant id (unlisted tenants weigh 1.0; weights
   /// <= 0 are treated as 1.0). A weight-2 tenant earns deficit credit twice
   /// as fast as a weight-1 tenant contending in the same priority class.
   std::map<uint64_t, double> tenant_weights;
-  /// Allow Admit() to advise preempting running lower-priority sessions when
-  /// a higher-priority request cannot admit (see Admit's preempt_victims).
-  /// Safe to leave on: equal-priority traffic never preempts.
-  bool preemption = true;
   /// Context parallelism: maximum devices one session may gang across
-  /// (clamped to [1, devices]). Above 1, the placement policy is wrapped in
+  /// (clamped to [1, devices]) — the one gang knob; the serving engine passes
+  /// it through unchanged. Above 1, the placement policy is wrapped in
   /// GangPlacement (a request that fits one device still places solo),
   /// Enqueue's permanent-rejection gate relaxes to the largest permitted
   /// gang's combined budget, and admission reserves per member — kNeverFits
@@ -210,13 +184,16 @@ struct RequestSchedulerOptions {
   size_t max_gang_size = 1;
 };
 
-/// Thread-safe admission queue, ordered by a pluggable SchedulingPolicy.
-/// Enqueue may race with the engine's Admit/Release loop (a front door
-/// accepting requests mid-flight).
+/// Thread-safe admission queue, ordered by FairSharePolicy. Enqueue may race
+/// with the engine's Admit/Release loop (a front door accepting requests
+/// mid-flight).
 class RequestScheduler {
  public:
+  /// `devices` is the simulated fleet the scheduler places across (clamped to
+  /// >= 1); the serving engine passes its own `devices` option.
   RequestScheduler(const ModelConfig& model, const WindowConfig& window,
-                   const CostModel& cost, const RequestSchedulerOptions& options);
+                   const CostModel& cost, const RequestSchedulerOptions& options,
+                   size_t devices = 1);
 
   /// Projected footprint of `request` assuming `reused_prefix` of its prompt
   /// tokens are covered by a stored context (no lock needed; pure computation).
@@ -289,10 +266,10 @@ class RequestScheduler {
     std::chrono::steady_clock::time_point Deadline() const;
   };
 
-  /// Precomputed enqueue inputs: the admission estimate (prefix probe) and
-  /// the placement affinity target. Both probes walk the context store's
-  /// prefix trie — O(prompt length) — so callers holding their own locks
-  /// (the engine's Submit) run Preflight first, outside them.
+  /// Precomputed enqueue inputs: the admission estimate and the placement
+  /// affinity target, both from one prefix probe. The probe walks the context
+  /// store's prefix trie — O(prompt length) — so callers holding their own
+  /// locks (the engine's Submit) run Preflight first, outside them.
   struct EnqueuePreflight {
     AdmissionEstimate estimate;
     int affinity_device = -1;
@@ -303,16 +280,15 @@ class RequestScheduler {
   /// implement backpressure without string-matching: kBacklogFull (the queue
   /// is at max_queue_depth right now — retryable) vs kNeverFits (the request
   /// exceeds the memory budget even running alone — permanent). Returns the
-  /// request id. The two-arg form skips the store probes (see Preflight).
+  /// request id. The two-arg form skips the store probe (see Preflight).
   Result<uint64_t> Enqueue(ServingRequest request);
   Result<uint64_t> Enqueue(ServingRequest request, const EnqueuePreflight& pre);
 
   /// Pops every queued request admissible under the current load, in the
-  /// order the SchedulingPolicy picks them (FifoPolicy: arrival order with no
-  /// head-of-line bypass — the historical behavior). An admissible request is
-  /// one the placement policy can put on SOME device — fitting that device's
-  /// remaining memory budget and TPOT headroom — or the pick while the fleet
-  /// is idle (guaranteed progress). Each popped request carries the device it
+  /// order FairSharePolicy picks them (no head-of-line bypass past its pick).
+  /// An admissible request is one the placement policy can put on SOME
+  /// device — fitting that device's remaining memory budget and TPOT
+  /// headroom — or the pick while the fleet is idle (guaranteed progress). Each popped request carries the device it
   /// was placed on. A pick the policy reports as never_fits (no device's
   /// budget could EVER hold it — possible under custom policies; the built-in
   /// uniform-budget case is caught at Enqueue) is removed instead of blocking
@@ -322,9 +298,8 @@ class RequestScheduler {
   /// deficit grant, and the policy re-picks.
   ///
   /// Preemption: when the picked request is blocked (all slots taken or no
-  /// device fits) and `preempt_victims` is non-null (and options.preemption
-  /// is set), the policy ranks running lower-priority victims and the
-  /// shortest prefix of that ranking whose suspension would let the pick
+  /// device fits) and `preempt_victims` is non-null, the policy ranks
+  /// running lower-priority victims and the shortest prefix of that ranking whose suspension would let the pick
   /// place is appended to `*preempt_victims`. Admission then stops — the
   /// caller suspends the victims (Release + Requeue) and calls Admit again;
   /// capacity only frees once real suspension happens. Callers stepping
@@ -464,7 +439,7 @@ class RequestScheduler {
   CostModel cost_;
   RequestSchedulerOptions options_;
   std::shared_ptr<const PlacementPolicy> placement_;
-  std::shared_ptr<const SchedulingPolicy> policy_;
+  FairSharePolicy policy_;
 
   mutable std::mutex mu_;
   std::deque<Admitted> pending_;

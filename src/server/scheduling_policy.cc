@@ -74,30 +74,6 @@ double TopUpDelta(const std::vector<Contender>& contenders) {
 
 }  // namespace
 
-// --- FifoPolicy: the historical scheduler, verbatim ---
-
-size_t FifoPolicy::PickNext(std::span<const QueuedRequestView> queued,
-                            const TenantLedger& /*ledger*/) const {
-  return queued.empty() ? kNone : 0;  // Arrival head, no bypass.
-}
-
-void FifoPolicy::OnAdmitted(std::span<const QueuedRequestView> queued,
-                            size_t picked, TenantLedger* ledger) const {
-  // No deficit mechanics — only the lifetime ledger the snapshot reports.
-  if (picked >= queued.size()) return;
-  TenantShareState& t = (*ledger)[queued[picked].tenant_id];
-  t.admitted_seconds += queued[picked].cost_seconds;
-  ++t.admitted;
-}
-
-std::vector<uint64_t> FifoPolicy::RankVictims(
-    const QueuedRequestView& /*blocked*/,
-    std::span<const RunningRequestView> /*running*/) const {
-  return {};  // FIFO never preempts.
-}
-
-// --- FairSharePolicy ---
-
 size_t FairSharePolicy::PickNext(std::span<const QueuedRequestView> queued,
                                  const TenantLedger& ledger) const {
   const std::vector<Contender> contenders = ContendersOfTopClass(queued, ledger);

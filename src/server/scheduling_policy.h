@@ -1,5 +1,5 @@
-// Pluggable admission-ordering and preemption policy for RequestScheduler —
-// the refactor that turns FIFO admission into multi-tenant SLO scheduling.
+// Admission-ordering and preemption policy for RequestScheduler — the
+// refactor that turns FIFO admission into multi-tenant SLO scheduling.
 //
 // The scheduler owns the queue, the reservations and the locks; the policy is
 // a pure strategy consulted under the scheduler's mutex:
@@ -12,16 +12,13 @@
 //     sessions may be suspended to make room, best victim first (empty =
 //     never preempt).
 //
-// Two built-ins:
-//   - FifoPolicy: bit-identical to the historical FIFO scheduler — picks the
-//     arrival head, never preempts. The golden baseline.
-//   - FairSharePolicy (default): strict priority classes; within the highest
-//     class present, weighted deficit round-robin across tenants over modeled
-//     device-seconds (each tenant's deficit earns credit at its weight's rate
-//     and admission spends the request's projected total seconds), and
-//     earliest-deadline-first within a tenant. With a single tenant, uniform
-//     priorities and no deadlines it degenerates to exact FIFO, which is why
-//     it can be the default without perturbing single-class workloads.
+// FairSharePolicy: strict priority classes; within the highest class present,
+// weighted deficit round-robin across tenants over modeled device-seconds
+// (each tenant's deficit earns credit at its weight's rate and admission
+// spends the request's projected total seconds), and earliest-deadline-first
+// within a tenant. With a single tenant, uniform priorities and no deadlines
+// it degenerates to exact FIFO with no preemption, so single-class workloads
+// are served in arrival order.
 #pragma once
 
 #include <chrono>
@@ -68,7 +65,7 @@ struct RunningRequestView {
 };
 
 /// Per-tenant fair-share ledger entry, owned by the scheduler and mutated
-/// only through SchedulingPolicy::OnAdmitted. Exposed in snapshots: deficit
+/// only through FairSharePolicy::OnAdmitted. Exposed in snapshots: deficit
 /// balances plus lifetime admitted work are the no-starvation evidence.
 struct TenantShareState {
   double weight = 1.0;
@@ -82,62 +79,30 @@ struct TenantShareState {
 
 using TenantLedger = std::map<uint64_t, TenantShareState>;
 
-class SchedulingPolicy {
+/// Strict priority classes + weighted deficit round-robin across tenants +
+/// EDF within a tenant. See file header for the exact scheme.
+class FairSharePolicy {
  public:
-  virtual ~SchedulingPolicy() = default;
-
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
   /// Index into `queued` of the request to consider next, or kNone to admit
-  /// nothing this round. Must not mutate the ledger (simulate top-ups).
-  virtual size_t PickNext(std::span<const QueuedRequestView> queued,
-                          const TenantLedger& ledger) const = 0;
+  /// nothing this round. Does not mutate the ledger (simulates top-ups).
+  size_t PickNext(std::span<const QueuedRequestView> queued,
+                  const TenantLedger& ledger) const;
 
   /// The request PickNext chose at `picked` placed successfully: apply the
   /// fair-share accounting to `ledger`. `queued` is the same view set the
   /// pick saw (the admitted entry still included).
-  virtual void OnAdmitted(std::span<const QueuedRequestView> queued, size_t picked,
-                          TenantLedger* ledger) const = 0;
+  void OnAdmitted(std::span<const QueuedRequestView> queued, size_t picked,
+                  TenantLedger* ledger) const;
 
   /// The request `blocked` cannot admit (no slot or no device fits): running
   /// sessions that may be suspended for it, best victim first. The scheduler
-  /// suspends a prefix of this ranking until the blocked request fits. Empty
-  /// = never preempt. Implementations must only ever rank victims of strictly
-  /// lower priority than `blocked` — the monotonicity that prevents
-  /// preemption cycles.
-  virtual std::vector<uint64_t> RankVictims(
-      const QueuedRequestView& blocked,
-      std::span<const RunningRequestView> running) const = 0;
-
-  virtual const char* name() const = 0;
-};
-
-/// Bit-identical to the historical FIFO scheduler: arrival order, no
-/// preemption, no fairness accounting beyond lifetime counters.
-class FifoPolicy : public SchedulingPolicy {
- public:
-  size_t PickNext(std::span<const QueuedRequestView> queued,
-                  const TenantLedger& ledger) const override;
-  void OnAdmitted(std::span<const QueuedRequestView> queued, size_t picked,
-                  TenantLedger* ledger) const override;
-  std::vector<uint64_t> RankVictims(
-      const QueuedRequestView& blocked,
-      std::span<const RunningRequestView> running) const override;
-  const char* name() const override { return "fifo"; }
-};
-
-/// Strict priority classes + weighted deficit round-robin across tenants +
-/// EDF within a tenant. See file header for the exact scheme.
-class FairSharePolicy : public SchedulingPolicy {
- public:
-  size_t PickNext(std::span<const QueuedRequestView> queued,
-                  const TenantLedger& ledger) const override;
-  void OnAdmitted(std::span<const QueuedRequestView> queued, size_t picked,
-                  TenantLedger* ledger) const override;
-  std::vector<uint64_t> RankVictims(
-      const QueuedRequestView& blocked,
-      std::span<const RunningRequestView> running) const override;
-  const char* name() const override { return "fair_share"; }
+  /// suspends a prefix of this ranking until the blocked request fits. Only
+  /// victims of strictly lower priority than `blocked` are ever ranked — the
+  /// monotonicity that prevents preemption cycles.
+  std::vector<uint64_t> RankVictims(const QueuedRequestView& blocked,
+                                    std::span<const RunningRequestView> running) const;
 };
 
 }  // namespace alaya

@@ -19,39 +19,21 @@ std::string SuspendSpillPrefix(uint64_t request_id) {
   return "suspend" + std::to_string(request_id);
 }
 
-/// Normalizes engine options: clamps the fleet size, mirrors it into the
-/// scheduler, and defaults the scheduler's probes to the DB's context store —
-/// admission then projects prefill work from what is actually stored, and
-/// placement sees which device holds the matched context (affinity).
+/// Normalizes engine options: clamps the fleet size and defaults the
+/// scheduler's prefix probe to the DB's context store — admission then
+/// projects prefill work from what is actually stored, and placement sees
+/// which device holds the matched context (affinity).
 ServingEngineOptions WithDefaults(AlayaDB* db, ServingEngineOptions o) {
   o.devices = std::max<size_t>(1, o.devices);
-  o.scheduler.devices = o.devices;
-  // Gang size: the engine-level knob and the scheduler-level knob are the
-  // same control; honor whichever was set (larger wins) and keep both in
-  // sync so AdmitInto's DeviceGang construction matches the placement.
-  o.max_gang_size = std::clamp<size_t>(
-      std::max(o.max_gang_size, o.scheduler.max_gang_size), 1, o.devices);
-  o.scheduler.max_gang_size = o.max_gang_size;
   if (o.scheduler.prefix_probe == nullptr) {
+    // Matched length + affinity device from one walk. Hitting a spilled
+    // context here is the prefetch hook: the page-in runs on the materialize
+    // pool while the request waits for admission, so by the time
+    // CreateSession needs the context it is (usually) resident.
     o.scheduler.prefix_probe = [db](std::span<const int32_t> tokens) {
-      return db->contexts().BestPrefixMatchLength(tokens);
-    };
-  }
-  if (o.scheduler.affinity_probe == nullptr) {
-    o.scheduler.affinity_probe = [db](std::span<const int32_t> tokens) {
-      return db->contexts().BestPrefixProbe(tokens).device;
-    };
-  }
-  if (o.scheduler.placement_probe == nullptr) {
-    // The Submit fast path: matched length + affinity device from one walk.
-    // Hitting a spilled context here is the prefetch hook: the page-in runs
-    // on the materialize pool while the request waits for admission, so by
-    // the time CreateSession needs the context it is (usually) resident.
-    o.scheduler.placement_probe = [db](std::span<const int32_t> tokens) {
-      const ContextStore::PrefixProbe probe = db->contexts().BestPrefixProbe(tokens);
-      if (probe.spilled) db->PrefetchContext(probe.context_id);
-      return RequestSchedulerOptions::PrefixProbeResult{probe.matched, probe.device,
-                                                        probe.spilled};
+      const ContextStore::PrefixMatch match = db->contexts().BestPrefixMatch(tokens);
+      if (match.spilled) db->PrefetchContext(match.id);
+      return RequestSchedulerOptions::PrefixProbeResult{match.matched, match.device};
     };
   }
   return o;
@@ -89,7 +71,7 @@ ServingEngine::ServingEngine(AlayaDB* db, const ServingEngineOptions& options)
     : db_(db),
       options_(WithDefaults(db, options)),
       scheduler_(db->options().model, db->options().session.window,
-                 db->env().cost_model(), options_.scheduler),
+                 db->env().cost_model(), options_.scheduler, options_.devices),
       pool_(options_.pool != nullptr ? options_.pool : &ThreadPool::Global()) {
   // The fleet must exist before any placement decision can bind a session to
   // it. Grow-only and pointer-stable, so sessions of other engines sharing
@@ -169,9 +151,9 @@ Status ServingEngine::RunToCompletion() {
 
 Result<RequestHandle> ServingEngine::Submit(ServingRequest request) {
   auto ticket = std::make_shared<RequestTicket>();
-  // The store probes (admission estimate + placement affinity) are
-  // O(prompt-length) trie walks — run them before taking mu_ so concurrent
-  // submitters never stall the driver's finalize/snapshot paths on them.
+  // The store probe (admission estimate + placement affinity) is an
+  // O(prompt-length) trie walk — run it before taking mu_ so concurrent
+  // submitters never stall the driver's finalize/snapshot paths on it.
   const RequestScheduler::EnqueuePreflight pre = scheduler_.Preflight(request);
   {
     // Enqueue and ticket registration are one atomic step under mu_: any
@@ -1140,15 +1122,12 @@ void ServingEngine::FinishSession(ActiveSession* active) {
                                ? active->request.token_at(s)
                                : SyntheticStoredTokenId(active->id, s));
     }
-    // Background (default): hand the session's KV, ids and recorded queries
-    // to a materialization job and retire immediately — the index build never
+    // Hand the session's KV, ids and recorded queries to a background
+    // materialization job and retire immediately — the index build never
     // blocks the step loop. The reserved context id is reported right away;
     // it becomes matchable once the job publishes (observe via Drain()).
-    Result<uint64_t> stored =
-        options_.background_store
-            ? db_->StoreAsync(active->session.get(), std::move(new_tokens),
-                              active->context_ref)
-            : db_->Store(active->session.get(), new_tokens);
+    Result<uint64_t> stored = db_->StoreAsync(
+        active->session.get(), std::move(new_tokens), active->context_ref);
     if (stored.ok()) {
       active->result.stored_context_id = stored.value();
     } else {

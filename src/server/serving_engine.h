@@ -103,14 +103,9 @@ struct ServingEngineOptions {
   RequestSchedulerOptions scheduler;
   /// Worker pool for cross-session batches (nullptr -> ThreadPool::Global()).
   ThreadPool* pool = nullptr;
-  /// Retire store_on_finish sessions through DB.store_async (non-blocking;
-  /// materialization overlaps subsequent steps). When false, retire blocks on
-  /// the synchronous DB.store — the pre-background-store behavior, kept for
-  /// the bit-identical equivalence tests and as an ablation knob.
-  bool background_store = true;
   /// Simulated devices to serve across (clamped to >= 1). The engine grows
-  /// the DB environment's DeviceSet to this size, mirrors it into the
-  /// scheduler (per-device budgets + TPOT, placement policy), binds each
+  /// the DB environment's DeviceSet to this size, builds the scheduler over
+  /// that fleet (per-device budgets + TPOT, placement policy), binds each
   /// admitted session to its placed device, and reports per-device counters
   /// in the snapshot. With 1 (the default) the whole system is bit-identical
   /// to the pre-sharding engine: one tracker, one clock, device 0 everywhere.
@@ -122,14 +117,6 @@ struct ServingEngineOptions {
   /// id-based result() lookup forgets. 0 = unlimited (the old always-grow
   /// behavior; an always-on engine then leaks one entry per request served).
   size_t result_retention = 4096;
-  /// Context parallelism: maximum devices one request may gang across
-  /// (clamped to [1, devices]; mirrored into scheduler.max_gang_size, taking
-  /// the larger when both are set). Above 1, a prompt whose KV footprint
-  /// exceeds one device's budget shards its resident window across the
-  /// smallest sufficient device gang (ring-merged partial softmax,
-  /// bit-identical to the single-device math) instead of rejecting with
-  /// kNeverFits.
-  size_t max_gang_size = 1;
   /// Cross-device KV rebalance probe: when > 0, the driver checks
   /// reserved-byte skew at each step boundary and migrates ONE warm, unpinned
   /// context off the hottest device once its reserved bytes exceed
@@ -171,12 +158,11 @@ struct RequestResult {
   Status status;  ///< Ok, a per-request error, kCancelled or kDeadlineExceeded.
   size_t reused_prefix = 0;
   uint64_t reused_context_id = 0;  ///< 0 when no stored context matched.
-  /// store_on_finish: the stored context's id. Under background_store this is
-  /// a reservation ticket — the context becomes matchable once its
-  /// materialization publishes (Shutdown/Drain is the barrier); if the build
-  /// fails the id never publishes and db.materialization_errors() maps it to
-  /// the reason. Results are immutable once terminal, so the failure is NOT
-  /// written back here.
+  /// store_on_finish: the stored context's id, a reservation ticket — the
+  /// context becomes matchable once its materialization publishes
+  /// (Shutdown/Drain is the barrier); if the build fails the id never
+  /// publishes and db.materialization_errors() maps it to the reason. Results
+  /// are immutable once terminal, so the failure is NOT written back here.
   uint64_t stored_context_id = 0;
   size_t prefilled_tokens = 0;     ///< Prompt tokens pushed through prefill.
   size_t steps_completed = 0;
@@ -335,8 +321,8 @@ struct ServingSnapshot {
   /// Context parallelism: admissions (resumes included) that placed on a
   /// multi-device gang, the modeled ring-exchange bytes their sessions moved
   /// between members, and the rebalance probe's shard migrations (count and
-  /// modeled bytes) — see ServingEngineOptions::{max_gang_size,
-  /// rebalance_skew_factor}.
+  /// modeled bytes) — see RequestSchedulerOptions::max_gang_size and
+  /// ServingEngineOptions::rebalance_skew_factor.
   size_t gang_admissions = 0;
   uint64_t gang_ring_transfer_bytes = 0;
   size_t shard_migrations = 0;
@@ -352,7 +338,7 @@ struct ServingSnapshot {
   uint64_t peak_gpu_bytes = 0;  ///< Max FLEET residency observed at step ends
                                 ///< (sampled during prefill and decode alike;
                                 ///< with one device, that device's peak).
-  /// Background materialization (store_on_finish under background_store):
+  /// Background materialization (store_on_finish):
   /// jobs still queued/running, and lifetime completed/failed totals.
   size_t materializations_pending = 0;
   size_t materializations_completed = 0;

@@ -1,9 +1,10 @@
 // Background Store(): late materialization off the decode path.
 //
 // Locks in the three guarantees the materialization queue makes:
-//   1. equivalence — a store_on_finish run with background materialization
-//      produces outputs AND stored contexts bit-identical to the synchronous
-//      path (same code, different thread), observable after Drain();
+//   1. equivalence — a store_on_finish run through the engine's background
+//      materialization produces outputs AND stored contexts bit-identical to
+//      driving the same sessions by hand and storing them with the blocking
+//      AlayaDB::Store, observable after Drain();
 //   2. isolation — BestPrefixMatch racing a materialization can never observe
 //      a half-built context (pending ids are invisible until Publish);
 //   3. index sharing — storing over a fully reused prefix extends the base
@@ -35,11 +36,10 @@ struct BackgroundStoreFixture {
   /// the step loop even on single-core CI machines.
   ThreadPool pool{4};
 
-  ServingEngineOptions EngineOptions(size_t max_concurrent, bool background) {
+  ServingEngineOptions EngineOptions(size_t max_concurrent) {
     ServingEngineOptions o;
     o.scheduler.max_concurrent_sessions = max_concurrent;
     o.pool = &pool;
-    o.background_store = background;
     return o;
   }
 
@@ -134,58 +134,82 @@ TEST(BackgroundStoreTest, BackgroundMatchesSynchronousStoreBitIdentical) {
   constexpr size_t kSteps = 4;
 
   BackgroundStoreFixture bg_fx, sync_fx;
-  ServingEngine background(bg_fx.db.get(),
-                           bg_fx.EngineOptions(kRequests, /*background=*/true));
-  ServingEngine synchronous(sync_fx.db.get(),
-                            sync_fx.EngineOptions(kRequests, /*background=*/false));
-
-  std::vector<uint64_t> bg_ids, sync_ids;
+  ServingEngine background(bg_fx.db.get(), bg_fx.EngineOptions(kRequests));
+  std::vector<RequestHandle> handles;
   for (int i = 0; i < kRequests; ++i) {
-    auto b = background.Submit(bg_fx.MakeRequest(11 + i, kSteps));
-    auto s = synchronous.Submit(sync_fx.MakeRequest(11 + i, kSteps));
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(s.ok());
-    bg_ids.push_back(b.value().id());
-    sync_ids.push_back(s.value().id());
+    auto h = background.Submit(bg_fx.MakeRequest(11 + i, kSteps));
+    ASSERT_TRUE(h.ok());
+    handles.push_back(h.value());
   }
   ASSERT_TRUE(background.RunToCompletion().ok());
-  ASSERT_TRUE(synchronous.RunToCompletion().ok());
 
   // RunToCompletion drained: every materialization published.
   ASSERT_TRUE(bg_fx.db->WaitForMaterialization().ok());
   EXPECT_EQ(bg_fx.db->contexts().pending(), 0u);
   EXPECT_EQ(bg_fx.db->contexts().size(), 1u + kRequests);
-  EXPECT_EQ(sync_fx.db->contexts().size(), 1u + kRequests);
-
   const ServingSnapshot bg_snap = background.snapshot();
   EXPECT_EQ(bg_snap.materializations_completed, static_cast<size_t>(kRequests));
   EXPECT_EQ(bg_snap.materializations_pending, 0u);
   EXPECT_EQ(bg_snap.materializations_failed, 0u);
-  // The synchronous path never touches the background queue.
-  EXPECT_EQ(synchronous.snapshot().materializations_completed, 0u);
+
+  // Reference: the same requests driven by hand — all sessions created up
+  // front (the engine admits all three together), every step's layers fed by
+  // the same fill callback through Update + Attention, then each session
+  // stored with the blocking AlayaDB::Store in retirement order, its decoded
+  // tail carrying the synthetic ids the engine assigns.
+  const ModelConfig& m = sync_fx.model;
+  const size_t qdim = static_cast<size_t>(m.num_q_heads) * m.head_dim;
+  const size_t kvdim = static_cast<size_t>(m.num_kv_heads) * m.head_dim;
+  std::vector<AlayaDB::SessionCreation> sessions;
+  std::vector<std::vector<float>> sync_outputs(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    auto created = sync_fx.db->CreateSession(sync_fx.ContextTokens());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_TRUE(created.value().truncated_prompt.empty());  // Full reuse.
+    sessions.push_back(std::move(created.value()));
+  }
+  std::vector<float> q(qdim), k(kvdim), v(kvdim), out(qdim);
+  for (int i = 0; i < kRequests; ++i) {
+    const ServingRequest req = sync_fx.MakeRequest(11 + i, kSteps);
+    Session* session = sessions[i].session.get();
+    for (size_t step = 0; step < kSteps; ++step) {
+      for (uint32_t layer = 0; layer < m.num_layers; ++layer) {
+        req.fill_step(step, layer, q.data(), k.data(), v.data());
+        ASSERT_TRUE(session->Update(layer, q.data(), k.data(), v.data()).ok());
+        ASSERT_TRUE(session->Attention(layer, q.data(), out.data()).ok());
+      }
+      // record_outputs keeps the final layer's output of every step.
+      sync_outputs[i].insert(sync_outputs[i].end(), out.begin(), out.end());
+    }
+  }
 
   for (int i = 0; i < kRequests; ++i) {
-    const RequestResult* b = background.result(bg_ids[i]);
-    const RequestResult* s = synchronous.result(sync_ids[i]);
+    const RequestResult* b = handles[i].Wait();
     ASSERT_NE(b, nullptr);
-    ASSERT_NE(s, nullptr);
     ASSERT_TRUE(b->status.ok()) << b->status.ToString();
-    ASSERT_TRUE(s->status.ok()) << s->status.ToString();
-    EXPECT_EQ(b->outputs, s->outputs) << "request " << i;
+    EXPECT_EQ(b->outputs, sync_outputs[i]) << "request " << i;
+
+    std::vector<int32_t> decoded_ids;
+    for (size_t step = 0; step < kSteps; ++step) {
+      decoded_ids.push_back(SyntheticStoredTokenId(b->id, step));
+    }
+    auto stored = sync_fx.db->Store(sessions[i].session.get(), decoded_ids);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     ASSERT_NE(b->stored_context_id, 0u);
-    ASSERT_EQ(b->stored_context_id, s->stored_context_id);
+    ASSERT_EQ(b->stored_context_id, stored.value());
     const Context* bc = bg_fx.db->contexts().FindUnsafeForTest(b->stored_context_id);
-    const Context* sc = sync_fx.db->contexts().FindUnsafeForTest(s->stored_context_id);
+    const Context* sc = sync_fx.db->contexts().FindUnsafeForTest(stored.value());
     ASSERT_NE(bc, nullptr);
     ASSERT_NE(sc, nullptr);
     ExpectContextsIdentical(bg_fx.model, *bc, *sc);
   }
+  EXPECT_EQ(sync_fx.db->contexts().size(), 1u + kRequests);
 }
 
 TEST(BackgroundStoreTest, ExtendFromBaseSkipsPrefixRebuild) {
   constexpr size_t kSteps = 5;
   BackgroundStoreFixture fx;
-  ServingEngine engine(fx.db.get(), fx.EngineOptions(1, /*background=*/true));
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(1));
   auto id = engine.Submit(fx.MakeRequest(21, kSteps));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine.RunToCompletion().ok());
@@ -385,7 +409,7 @@ TEST(BackgroundStoreTest, PrefixMatchNeverObservesHalfBuiltContext) {
   constexpr int kRequests = 6;
   constexpr size_t kSteps = 3;
   BackgroundStoreFixture fx;
-  ServingEngine engine(fx.db.get(), fx.EngineOptions(3, /*background=*/true));
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(3));
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(engine.Submit(fx.MakeRequest(31 + i, kSteps)).ok());
   }

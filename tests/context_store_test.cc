@@ -220,28 +220,17 @@ TEST(ContextStoreTest, PrefixIndexSeesPublishButNeverPending) {
   ModelConfig m = ModelConfig::Tiny();
   const std::vector<int32_t> tokens = {6, 6, 6};
   const uint64_t id = store.ReservePending();
-  // Reservation alone indexes nothing (probed via the cheap length probe the
-  // admission path uses, which shares the trie walk).
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 0u);
+  // Reservation alone indexes nothing.
+  EXPECT_EQ(store.BestPrefixMatch(tokens).matched, 0u);
+  EXPECT_EQ(store.BestPrefixMatch(tokens).device, -1);
   ASSERT_TRUE(
       store.Publish(id, std::make_unique<Context>(0, tokens, MakeKv(m, 3, 22))).ok());
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 3u);
+  EXPECT_EQ(store.BestPrefixMatch(tokens).matched, 3u);
   EXPECT_EQ(store.BestPrefixMatch(tokens).context->id(), id);
   // An aborted reservation never touched the index.
   const uint64_t dead = store.ReservePending();
   EXPECT_TRUE(store.AbortPending(dead));
-  EXPECT_EQ(store.BestPrefixMatchLength(tokens), 3u);
-}
-
-TEST(ContextStoreTest, PrefixLengthProbeAgreesWithFullMatch) {
-  ContextStore store;
-  ModelConfig m = ModelConfig::Tiny();
-  store.Add(std::make_unique<Context>(0, Tokens({5, 4, 3, 2, 1}), MakeKv(m, 5, 23)));
-  store.Add(std::make_unique<Context>(0, Tokens({5, 4, 9}), MakeKv(m, 3, 24)));
-  for (const auto& query :
-       {Tokens({5, 4, 3}), Tokens({5, 4, 9, 9}), Tokens({5}), Tokens({2}), Tokens({})}) {
-    EXPECT_EQ(store.BestPrefixMatchLength(query), store.BestPrefixMatch(query).matched);
-  }
+  EXPECT_EQ(store.BestPrefixMatch(tokens).matched, 3u);
 }
 
 // --- Incremental byte accounting: TotalKvBytes/TotalIndexBytes are now O(1)
@@ -308,6 +297,8 @@ TEST(ContextStoreTest, SpilledPlaceholderSemantics) {
   ModelConfig m = ModelConfig::Tiny();
   const std::vector<int32_t> tokens = {1, 2, 3, 4, 5};
   const uint64_t id = store.Add(std::make_unique<Context>(0, tokens, MakeKv(m, 5, 40)));
+  store.FindShared(id)->set_resident_device(2);
+  EXPECT_EQ(store.BestPrefixMatch(tokens).device, 2);  // Live residency.
 
   auto detached = store.DetachForSpill(id);
   ASSERT_NE(detached, nullptr);
@@ -327,10 +318,12 @@ TEST(ContextStoreTest, SpilledPlaceholderSemantics) {
   EXPECT_EQ(match.id, id);
   EXPECT_EQ(match.matched, 3u);
   EXPECT_EQ(match.length, 5u);
-  auto probe = store.BestPrefixProbe(tokens);
-  EXPECT_TRUE(probe.spilled);
-  EXPECT_EQ(probe.context_id, id);
-  EXPECT_EQ(probe.matched, 5u);
+  EXPECT_EQ(match.device, 2);  // Snapshot taken at spill.
+  match = store.BestPrefixMatch(tokens);
+  EXPECT_TRUE(match.spilled);
+  EXPECT_EQ(match.id, id);
+  EXPECT_EQ(match.matched, 5u);
+  EXPECT_EQ(match.device, 2);
 
   // Double-detach is a no-op; restore with wrong tokens is refused.
   EXPECT_EQ(store.DetachForSpill(id), nullptr);
@@ -344,6 +337,7 @@ TEST(ContextStoreTest, SpilledPlaceholderSemantics) {
   ASSERT_NE(match.context, nullptr);
   EXPECT_EQ(match.context->id(), id);
   EXPECT_FALSE(match.spilled);
+  EXPECT_EQ(match.device, 2);
   // Restoring a resident context is refused.
   auto dup = std::make_shared<Context>(0, tokens, MakeKv(m, 5, 42));
   EXPECT_EQ(store.RestoreSpilled(id, dup).code(), StatusCode::kAborted);
@@ -358,10 +352,12 @@ TEST(ContextStoreTest, AddSpilledWarmStartPlaceholders) {
                   .ok());
   EXPECT_TRUE(store.IsSpilled(42));
   EXPECT_EQ(store.TotalKvBytes(), 0u);  // Spilled bytes are not resident.
-  auto probe = store.BestPrefixProbe(Tokens({3, 1, 4}));
-  EXPECT_TRUE(probe.spilled);
-  EXPECT_EQ(probe.context_id, 42u);
-  EXPECT_EQ(probe.device, 1);  // Snapshot from the manifest.
+  auto match = store.BestPrefixMatch(Tokens({3, 1, 4}));
+  EXPECT_TRUE(match.spilled);
+  EXPECT_EQ(match.ref, nullptr);
+  EXPECT_EQ(match.id, 42u);
+  EXPECT_EQ(match.matched, 3u);
+  EXPECT_EQ(match.device, 1);  // Snapshot from the manifest.
 
   // Id collisions and id 0 are refused.
   EXPECT_EQ(store.AddSpilled(42, Tokens({5}), -1, 1, 1).code(),
@@ -376,7 +372,10 @@ TEST(ContextStoreTest, AddSpilledWarmStartPlaceholders) {
 
   // A spilled placeholder is removable (e.g. manifest eviction).
   EXPECT_TRUE(store.Remove(42));
-  EXPECT_EQ(store.BestPrefixProbe(Tokens({3, 1, 4})).matched, 0u);
+  match = store.BestPrefixMatch(Tokens({3, 1, 4}));
+  EXPECT_EQ(match.matched, 0u);
+  EXPECT_EQ(match.id, 0u);
+  EXPECT_EQ(match.device, -1);
 }
 
 }  // namespace

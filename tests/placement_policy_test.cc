@@ -117,20 +117,6 @@ TEST(PlacementPolicyTest, BestFitSpreadsColdTrafficWhenBudgetsUnlimited) {
   EXPECT_EQ(policy.Place(MakeRequest(10), sessions, 0).device, 1);
 }
 
-TEST(PlacementPolicyTest, LeastLoadedSpreadsAcrossIdleFleet) {
-  LeastLoadedPlacement policy;
-  // Unlimited budgets: free bytes tie, so fewer active sessions wins.
-  const DeviceLoad loads[] = {MakeLoad(0, 0, 0, 2), MakeLoad(1, 0, 0, 0),
-                              MakeLoad(2, 0, 0, 1)};
-  EXPECT_EQ(policy.Place(MakeRequest(10), loads, 0).device, 1);
-  // With budgets, most free bytes wins outright.
-  const DeviceLoad budgeted[] = {MakeLoad(0, 100, 80, 1), MakeLoad(1, 100, 20, 3),
-                                 MakeLoad(2, 100, 50, 0)};
-  EXPECT_EQ(policy.Place(MakeRequest(10), budgeted, 0).device, 1);
-  // Affinity still wins when it fits.
-  EXPECT_EQ(policy.Place(MakeRequest(10, 0, /*affinity=*/2), budgeted, 0).device, 2);
-}
-
 // --- Scheduler integration: per-device accounting over the policy. ---
 
 struct SchedulerFixture {
@@ -138,8 +124,14 @@ struct SchedulerFixture {
   WindowConfig window{8, 16};
   CostModel cost;
 
-  RequestScheduler Make(RequestSchedulerOptions options) {
-    return RequestScheduler(model, window, cost, options);
+  RequestScheduler Make(RequestSchedulerOptions options, size_t devices = 1) {
+    return RequestScheduler(model, window, cost, options, devices);
+  }
+
+  /// Probe reporting every prompt fully covered by a stored context.
+  static RequestSchedulerOptions::PrefixProbeResult FullReuse(
+      std::span<const int32_t> tokens) {
+    return {tokens.size()};
   }
 
   static ServingRequest MakeServing(size_t prompt_tokens, size_t steps) {
@@ -155,17 +147,16 @@ struct SchedulerFixture {
 TEST(PlacementSchedulerTest, AdmitAssignsDevicesAndTracksPerDeviceLoad) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 2;
   // Full reuse: footprint is window + decoded tail only.
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
-  RequestScheduler probe = fx.Make(options);
+  options.prefix_probe = SchedulerFixture::FullReuse;
+  RequestScheduler probe = fx.Make(options, 2);
   const uint64_t one = probe.Estimate(fx.MakeServing(100, 4), 100).gpu_bytes;
   ASSERT_GT(one, 0u);
 
   // Per-device budget holds exactly one session: best-fit must spill the
   // second request to device 1 instead of queueing it behind device 0.
   options.gpu_budget_bytes = one;
-  RequestScheduler sched = fx.Make(options);
+  RequestScheduler sched = fx.Make(options, 2);
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());  // No room: waits.
@@ -195,18 +186,17 @@ TEST(PlacementSchedulerTest, AdmitAssignsDevicesAndTracksPerDeviceLoad) {
 TEST(PlacementSchedulerTest, HotDeviceDoesNotThrottleIdleOnes) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 2;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
+  options.prefix_probe = SchedulerFixture::FullReuse;
 
   // SLO fits one decode session per device but not two together: under the
   // old aggregate check the second request would queue; per-device accounting
   // admits it onto the idle device at once.
-  RequestScheduler probe = fx.Make(options);
+  RequestScheduler probe = fx.Make(options, 2);
   const AdmissionEstimate e = probe.Estimate(fx.MakeServing(100, 4), 100);
   ASSERT_GT(e.EffectiveStepSeconds(), 0.0);
   options.tpot_slo_seconds = e.EffectiveStepSeconds() * 1.5;
 
-  RequestScheduler sched = fx.Make(options);
+  RequestScheduler sched = fx.Make(options, 2);
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());  // Both hot: waits.
@@ -221,14 +211,13 @@ TEST(PlacementSchedulerTest, HotDeviceDoesNotThrottleIdleOnes) {
 TEST(PlacementSchedulerTest, EnqueueRejectsFootprintNoDeviceCouldHold) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 4;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
-  RequestScheduler probe = fx.Make(options);
+  options.prefix_probe = SchedulerFixture::FullReuse;
+  RequestScheduler probe = fx.Make(options, 4);
   const uint64_t one = probe.Estimate(fx.MakeServing(100, 4), 100).gpu_bytes;
 
   // More devices never rescue a request that exceeds the per-device budget.
   options.gpu_budget_bytes = one - 1;
-  RequestScheduler sched = fx.Make(options);
+  RequestScheduler sched = fx.Make(options, 4);
   auto rejected = sched.Enqueue(fx.MakeServing(100, 4));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kNeverFits);
@@ -237,11 +226,12 @@ TEST(PlacementSchedulerTest, EnqueueRejectsFootprintNoDeviceCouldHold) {
 TEST(PlacementSchedulerTest, AffinityProbeRoutesToWarmDevice) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 3;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
   // Pretend the matched context is warm on device 2.
-  options.affinity_probe = [](std::span<const int32_t>) { return 2; };
-  RequestScheduler sched = fx.Make(options);
+  options.prefix_probe =
+      [](std::span<const int32_t> t) -> RequestSchedulerOptions::PrefixProbeResult {
+    return {t.size(), /*affinity_device=*/2};
+  };
+  RequestScheduler sched = fx.Make(options, 3);
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   auto admitted = sched.Admit();
   ASSERT_EQ(admitted.size(), 1u);
@@ -251,9 +241,8 @@ TEST(PlacementSchedulerTest, AffinityProbeRoutesToWarmDevice) {
 TEST(PlacementSchedulerTest, UnlimitedBudgetSpreadsColdRequests) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 2;
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
-  RequestScheduler sched = fx.Make(options);
+  options.prefix_probe = SchedulerFixture::FullReuse;
+  RequestScheduler sched = fx.Make(options, 2);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   }
@@ -280,10 +269,9 @@ struct RejectAllPlacement : PlacementPolicy {
 TEST(PlacementSchedulerTest, NeverFitsHeadIsRemovedNotStuck) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.devices = 2;
   options.placement = std::make_shared<RejectAllPlacement>();
-  options.prefix_probe = [](std::span<const int32_t> t) { return t.size(); };
-  RequestScheduler sched = fx.Make(options);
+  options.prefix_probe = SchedulerFixture::FullReuse;
+  RequestScheduler sched = fx.Make(options, 2);
   auto a = sched.Enqueue(fx.MakeServing(50, 2));
   auto b = sched.Enqueue(fx.MakeServing(50, 2));
   ASSERT_TRUE(a.ok());

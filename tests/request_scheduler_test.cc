@@ -11,6 +11,11 @@
 namespace alaya {
 namespace {
 
+using ProbeResult = RequestSchedulerOptions::PrefixProbeResult;
+
+/// Probe reporting every prompt fully covered by a stored context.
+ProbeResult FullReuse(std::span<const int32_t> tokens) { return {tokens.size()}; }
+
 struct SchedulerFixture {
   ModelConfig model = ModelConfig::Tiny();
   WindowConfig window{8, 16};
@@ -93,8 +98,8 @@ TEST(RequestSchedulerTest, EffectiveStepSecondsIsWorstPhase) {
 TEST(RequestSchedulerTest, PrefixProbeDrivesEnqueueEstimate) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
-  options.prefix_probe = [](std::span<const int32_t> tokens) {
-    return tokens.size() / 2;  // Pretend half of every prompt is stored.
+  options.prefix_probe = [](std::span<const int32_t> tokens) -> ProbeResult {
+    return {tokens.size() / 2};  // Pretend half of every prompt is stored.
   };
   RequestScheduler sched = fx.Make(options);
   auto id = sched.Enqueue(fx.MakeRequest(100, 2));
@@ -128,7 +133,7 @@ TEST(RequestSchedulerTest, PrefillFootprintRejectedAtEnqueue) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kNeverFits);
 
   // With a probe reporting the prompt fully stored, the same request fits.
-  options.prefix_probe = [](std::span<const int32_t> tokens) { return tokens.size(); };
+  options.prefix_probe = FullReuse;
   RequestScheduler informed = fx.Make(options);
   EXPECT_TRUE(informed.Enqueue(fx.MakeRequest(200, 4)).ok());
 }
@@ -139,8 +144,8 @@ TEST(RequestSchedulerTest, PrefillTimeBlocksCoAdmissionUnderTpotSlo) {
   options.prefill_chunk_tokens = 32;
   // Probe: prompts of >= 100 tokens are unmatched (heavy prefill), shorter
   // ones fully stored.
-  options.prefix_probe = [](std::span<const int32_t> tokens) {
-    return tokens.size() >= 100 ? 0 : tokens.size();
+  options.prefix_probe = [](std::span<const int32_t> tokens) -> ProbeResult {
+    return {tokens.size() >= 100 ? 0 : tokens.size()};
   };
 
   // Calibrate the SLO: two decode-only requests fit together, but a decode
@@ -193,7 +198,7 @@ TEST(RequestSchedulerTest, UpdateReservationReanchorsToActualMatch) {
   SchedulerFixture fx;
   RequestSchedulerOptions options;
   // Probe promises full reuse at enqueue...
-  options.prefix_probe = [](std::span<const int32_t> tokens) { return tokens.size(); };
+  options.prefix_probe = FullReuse;
   RequestScheduler sched = fx.Make(options);
   const ServingRequest req = fx.MakeRequest(/*prompt_tokens=*/200, /*steps=*/4);
 

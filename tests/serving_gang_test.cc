@@ -55,7 +55,7 @@ struct GangFixture {
     ServingEngineOptions o;
     o.scheduler.max_concurrent_sessions = max_concurrent;
     o.devices = devices;
-    o.max_gang_size = max_gang;
+    o.scheduler.max_gang_size = max_gang;
     o.pool = &pool;
     return o;
   }
@@ -209,6 +209,23 @@ TEST(ServingGangTest, NeverFitsGateRelaxesToLargestPermittedGang) {
     EXPECT_TRUE(h.value().Wait()->status.ok());
     EXPECT_EQ(engine.snapshot().gang_admissions, 1u);
   }
+}
+
+TEST(ServingGangTest, SchedulerGangKnobIsTheOnlyGangKnob) {
+  // scheduler.max_gang_size alone decides ganging: on a two-device fleet
+  // whose per-device budget a pair could hold, a gang size of 1 still rejects
+  // the over-budget prompt permanently — nothing else widens the gang.
+  constexpr size_t kSteps = 4;
+  GangFixture fx;
+  ServingEngineOptions opts;
+  opts.pool = &fx.pool;
+  opts.devices = 2;
+  opts.scheduler.max_gang_size = 1;
+  opts.scheduler.gpu_budget_bytes = fx.FootprintBytes(kSteps) * 3 / 4;
+  ServingEngine engine(fx.db.get(), opts);
+  auto h = engine.Submit(fx.MakeRequest(0, 41, kSteps));
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kNeverFits);
 }
 
 TEST(ServingGangTest, MigrateShardSemanticsAndRaces) {

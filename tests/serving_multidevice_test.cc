@@ -293,10 +293,10 @@ TEST(ServingMultiDeviceTest, StoredContextIsWarmOnItsSessionsDevice) {
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->resident_device(), 1);
   // And the affinity probe reports it for extended prompts.
-  const ContextStore::PrefixProbe probe =
-      fx.db->contexts().BestPrefixProbe(stored->tokens());
+  const ContextStore::PrefixMatch probe =
+      fx.db->contexts().BestPrefixMatch(stored->tokens());
   EXPECT_EQ(probe.matched, stored->length());
-  EXPECT_EQ(probe.context_id, r->stored_context_id);
+  EXPECT_EQ(probe.id, r->stored_context_id);
   EXPECT_EQ(probe.device, 1);
 }
 

@@ -1,7 +1,7 @@
 // Preemptive multi-tenant scheduling: priority classes, suspend/resume with
 // zero recompute (the resumed decode is bit-identical to an uninterrupted
-// one), the FifoPolicy golden (arrival order regardless of priority), and the
-// suspended-state edge cases — cancel-while-suspended, deadline-expiry-while-
+// one), FairSharePolicy's exact-FIFO degeneracy on single-class traffic, and
+// the suspended-state edge cases — cancel-while-suspended, deadline-expiry-while-
 // suspended, suspension racing retirement. The storm test races caller
 // threads against the preempting driver and runs under TSan in CI.
 #include <gtest/gtest.h>
@@ -184,45 +184,51 @@ TEST(ServingPreemptTest, PreemptedDecodeResumesBitIdenticalWithZeroRecompute) {
   EXPECT_EQ(engine.scheduler().queued(), 0u);
 }
 
-// FifoPolicy is the default-off golden: arrival order, no priority bypass, no
-// preemption — the historical scheduler bit for bit.
-TEST(ServingPreemptTest, FifoPolicyServesArrivalOrderIgnoringPriority) {
-  PreemptFixture fx;
-  ServingEngineOptions opts = fx.EngineOptions(1);
-  opts.scheduler.policy = std::make_shared<const FifoPolicy>();
-  ServingEngine engine(fx.db.get(), opts);
-
-  // Backlog into a stopped engine: priorities descend then jump — FIFO must
-  // ignore all of it.
-  std::mutex mu;
-  std::vector<uint64_t> completion_order;
-  std::vector<RequestHandle> handles;
-  const int priorities[] = {0, 2, 1, 5, 0};
-  for (int i = 0; i < 5; ++i) {
-    ServingRequest req = fx.MakeRequest(300 + static_cast<uint64_t>(i), 2);
-    req.priority = priorities[i];
-    req.tenant_id = static_cast<uint64_t>(i % 2);
-    const uint64_t tag = static_cast<uint64_t>(i);
-    req.on_token = [&, tag](size_t step, std::span<const float>) {
-      if (step == 0) {
-        std::lock_guard<std::mutex> lk(mu);
-        completion_order.push_back(tag);
-      }
+// FairSharePolicy degenerates to exact FIFO on single-class traffic: with one
+// tenant, one priority and no deadlines, every round picks the arrival head
+// and nothing is ever ranked for preemption — whatever the request costs and
+// the ledger's balance. Seeded random queues grow and drain round by round.
+TEST(ServingPreemptTest, FairShareDegeneratesToFifoOnSingleClassTraffic) {
+  FairSharePolicy policy;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const uint64_t tenant = rng.UniformInt(8);
+    const int priority = static_cast<int>(rng.UniformInt(5)) - 2;
+    const double weight = rng.UniformRange(0.25, 4.0);
+    TenantLedger ledger;
+    ledger[tenant].weight = weight;
+    auto make = [&](uint64_t id) {
+      QueuedRequestView v;
+      v.id = id;
+      v.priority = priority;
+      v.tenant_id = tenant;
+      v.cost_seconds = rng.UniformRange(0.0, 1e-3);
+      return v;
     };
-    auto h = engine.Submit(std::move(req));
-    ASSERT_TRUE(h.ok());
-    handles.push_back(h.value());
+    std::vector<QueuedRequestView> queue;
+    uint64_t next_id = 1;
+    for (size_t n = 1 + rng.UniformInt(12); n > 0; --n) queue.push_back(make(next_id++));
+    std::vector<RunningRequestView> running(1 + rng.UniformInt(4));
+    for (size_t i = 0; i < running.size(); ++i) {
+      running[i].id = 1000 + i;
+      running[i].priority = priority;
+      running[i].tenant_id = tenant;
+      running[i].gpu_bytes = 1 + rng.UniformInt(1 << 20);
+      running[i].remaining_seconds = rng.UniformRange(0.0, 1.0);
+      running[i].admit_order = i;
+    }
+    for (int round = 0; !queue.empty(); ++round) {
+      ASSERT_EQ(policy.PickNext(queue, ledger), 0u) << "seed " << seed << " round " << round;
+      EXPECT_TRUE(policy.RankVictims(queue.front(), running).empty()) << "seed " << seed;
+      policy.OnAdmitted(queue, 0, &ledger);
+      queue.erase(queue.begin());
+      // Fresh arrivals join the tail between rounds.
+      for (size_t n = rng.UniformInt(3); n > 0 && next_id < 64; --n) {
+        queue.push_back(make(next_id++));
+      }
+    }
+    EXPECT_EQ(ledger[tenant].admitted, next_id - 1) << "seed " << seed;
   }
-  ASSERT_TRUE(engine.RunToCompletion().ok());
-  for (auto& h : handles) {
-    const RequestResult* r = h.TryWait();
-    ASSERT_NE(r, nullptr);
-    EXPECT_TRUE(r->status.ok()) << r->status.ToString();
-  }
-  ASSERT_EQ(completion_order.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) EXPECT_EQ(completion_order[i], i) << "slot " << i;
-  EXPECT_EQ(engine.snapshot().preemptions, 0u);
-  EXPECT_EQ(engine.snapshot().resumes, 0u);
 }
 
 TEST(ServingPreemptTest, CancelWhileSuspendedFinalizesAndFreesParkedState) {
