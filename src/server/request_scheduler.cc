@@ -274,12 +274,15 @@ void RequestScheduler::EnsureTenantLocked(uint64_t tenant_id) {
   }
 }
 
-void RequestScheduler::ResetDeficitIfDrainedLocked(uint64_t tenant_id) {
+RequestScheduler::Admitted RequestScheduler::ErasePendingLocked(size_t index) {
+  Admitted out = std::move(pending_[index]);
+  pending_.erase(pending_.begin() + static_cast<long>(index));
   for (const Admitted& p : pending_) {
-    if (p.tenant_id == tenant_id) return;
+    if (p.tenant_id == out.tenant_id) return out;
   }
-  auto it = ledger_.find(tenant_id);
+  auto it = ledger_.find(out.tenant_id);
   if (it != ledger_.end()) it->second.deficit_seconds = 0;
+  return out;
 }
 
 QueuedRequestView RequestScheduler::ViewOfLocked(const Admitted& item) const {
@@ -299,8 +302,8 @@ void RequestScheduler::Requeue(Admitted item) {
   pending_.push_back(std::move(item));
 }
 
-void RequestScheduler::AdviseVictimsLocked(const Admitted& blocked,
-                                           std::vector<uint64_t>* victims) const {
+std::vector<uint64_t> RequestScheduler::AdviseVictimsLocked(
+    const Admitted& blocked) const {
   std::vector<RunningRequestView> running;
   running.reserve(active_.size());
   for (const auto& [id, entry] : active_) {
@@ -319,7 +322,7 @@ void RequestScheduler::AdviseVictimsLocked(const Admitted& blocked,
   }
   const std::vector<uint64_t> ranked =
       policy_.RankVictims(ViewOfLocked(blocked), running);
-  if (ranked.empty()) return;
+  if (ranked.empty()) return {};
 
   // Simulate suspending a growing prefix of the ranking until the blocked
   // request would both have a slot and place on some device. Advice only:
@@ -340,19 +343,28 @@ void RequestScheduler::AdviseVictimsLocked(const Admitted& blocked,
     chosen.push_back(vid);
     if (sim_active < options_.max_concurrent_sessions &&
         placement_->Place(preq, sim, options_.tpot_slo_seconds).placed()) {
-      victims->insert(victims->end(), chosen.begin(), chosen.end());
-      return;
+      return chosen;
     }
   }
   // Even suspending every ranked victim would not make room: advise nothing
   // (the blocked request waits for ordinary drain instead).
+  return {};
 }
 
-std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
-    std::vector<uint64_t>* preempt_victims) {
+RequestScheduler::AdmitRound RequestScheduler::Admit(bool advise_preemption) {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Admitted> out;
+  AdmitRound round;
+  // Expiry sweep over the whole queue, before any pick: a doomed request must
+  // not absorb a deficit grant or block the queue, wherever the policy would
+  // have ordered it.
   const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < pending_.size();) {
+    if (pending_[i].Deadline() <= now) {
+      round.expired.push_back(ErasePendingLocked(i));
+    } else {
+      ++i;
+    }
+  }
   while (!pending_.empty()) {
     // Policy views in arrival order (index 0 = FIFO head), rebuilt per pick:
     // each admission mutates the ledger the next pick depends on. Queue depth
@@ -362,19 +374,7 @@ std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
     for (const Admitted& p : pending_) views.push_back(ViewOfLocked(p));
     const size_t pick = policy_.PickNext(views, ledger_);
     if (pick >= pending_.size()) break;
-    Admitted& cand = pending_[pick];
-
-    // Expired-at-pick sweep: a doomed request must not absorb a deficit grant
-    // or block the queue — set it aside (TakeExpired) and re-pick. This also
-    // covers expiries the step-boundary RemoveQueuedExpired sweep has not
-    // seen yet because the policy reordered the queue.
-    if (cand.request.deadline_seconds > 0 && cand.Deadline() <= now) {
-      const uint64_t tenant = cand.tenant_id;
-      expired_.push_back(std::move(cand));
-      pending_.erase(pending_.begin() + static_cast<long>(pick));
-      ResetDeficitIfDrainedLocked(tenant);
-      continue;
-    }
+    const Admitted& cand = pending_[pick];
 
     const bool slots_full = active_.size() >= options_.max_concurrent_sessions;
     PlacementDecision placed;
@@ -389,39 +389,31 @@ std::vector<RequestScheduler::Admitted> RequestScheduler::Admit(
       if (!slots_full && placed.never_fits) {
         // Permanently unplaceable (a custom policy's verdict): remove it so
         // it cannot block the queue forever — rejection, not bypass.
-        const uint64_t tenant = cand.tenant_id;
-        never_fits_.push_back(std::move(cand));
-        pending_.erase(pending_.begin() + static_cast<long>(pick));
-        ResetDeficitIfDrainedLocked(tenant);
+        round.never_fits.push_back(ErasePendingLocked(pick));
         continue;
       }
       // Blocked pick: optionally advise preemption, then stop — no bypass
       // past the policy's choice (admission order stays deterministic).
-      if (preempt_victims != nullptr) {
-        AdviseVictimsLocked(cand, preempt_victims);
-      }
+      if (advise_preemption) round.victims = AdviseVictimsLocked(cand);
       break;
     }
     policy_.OnAdmitted(views, pick, &ledger_);
-    cand.device = placed.device;
-    cand.gang = placed.gang() ? placed.gang_members
-                              : std::vector<int>{placed.device};
-    ApplyReservationLocked(cand.gang, cand.estimate, +1);
+    Admitted item = ErasePendingLocked(pick);
+    item.device = placed.device;
+    item.gang = placed.gang() ? placed.gang_members : std::vector<int>{placed.device};
+    ApplyReservationLocked(item.gang, item.estimate, +1);
     ActiveEntry entry;
-    entry.estimate = cand.estimate;
+    entry.estimate = item.estimate;
     entry.device = placed.device;
-    entry.gang = cand.gang;
-    entry.priority = cand.priority;
-    entry.tenant_id = cand.tenant_id;
-    entry.deadline = cand.Deadline();
+    entry.gang = item.gang;
+    entry.priority = item.priority;
+    entry.tenant_id = item.tenant_id;
+    entry.deadline = item.Deadline();
     entry.admit_order = admit_seq_++;
-    active_[cand.id] = std::move(entry);
-    const uint64_t tenant = cand.tenant_id;
-    out.push_back(std::move(cand));
-    pending_.erase(pending_.begin() + static_cast<long>(pick));
-    ResetDeficitIfDrainedLocked(tenant);
+    active_[item.id] = std::move(entry);
+    round.admitted.push_back(std::move(item));
   }
-  return out;
+  return round;
 }
 
 void RequestScheduler::UpdateReservation(uint64_t id, const AdmissionEstimate& actual) {
@@ -442,20 +434,6 @@ void RequestScheduler::RecordProgress(uint64_t id, double modeled_seconds) {
   it->second.consumed_seconds += modeled_seconds;
 }
 
-std::vector<RequestScheduler::Admitted> RequestScheduler::TakeNeverFits() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Admitted> out;
-  out.swap(never_fits_);
-  return out;
-}
-
-std::vector<RequestScheduler::Admitted> RequestScheduler::TakeExpired() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Admitted> out;
-  out.swap(expired_);
-  return out;
-}
-
 TenantLedger RequestScheduler::TenantLedgerSnapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   return ledger_;
@@ -464,37 +442,19 @@ TenantLedger RequestScheduler::TenantLedgerSnapshot() const {
 std::optional<RequestScheduler::Admitted> RequestScheduler::RemoveQueued(
     uint64_t id, bool include_resume) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id == id) {
-      if (it->resume && !include_resume) return std::nullopt;
-      Admitted out = std::move(*it);
-      pending_.erase(it);
-      return out;
-    }
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].id != id) continue;
+    if (pending_[i].resume && !include_resume) return std::nullopt;
+    return ErasePendingLocked(i);
   }
   return std::nullopt;
 }
 
-std::vector<RequestScheduler::Admitted> RequestScheduler::RemoveQueuedExpired(
-    std::chrono::steady_clock::time_point now) {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Admitted> out;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->request.deadline_seconds > 0 && it->Deadline() <= now) {
-      out.push_back(std::move(*it));
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return out;
-}
-
 std::vector<RequestScheduler::Admitted> RequestScheduler::TakeAllQueued() {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Admitted> out(std::make_move_iterator(pending_.begin()),
-                            std::make_move_iterator(pending_.end()));
-  pending_.clear();
+  std::vector<Admitted> out;
+  out.reserve(pending_.size());
+  while (!pending_.empty()) out.push_back(ErasePendingLocked(0));
   return out;
 }
 

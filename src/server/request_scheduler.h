@@ -284,35 +284,40 @@ class RequestScheduler {
   Result<uint64_t> Enqueue(ServingRequest request);
   Result<uint64_t> Enqueue(ServingRequest request, const EnqueuePreflight& pre);
 
+  /// Everything one Admit() call removed from the queue, by outcome. Only
+  /// `admitted` entries hold a reservation; the caller finalizes `expired`
+  /// and `never_fits` with typed results (routing resume entries back to its
+  /// suspended set) and suspends `victims` before admitting again.
+  struct AdmitRound {
+    std::vector<Admitted> admitted;
+    std::vector<Admitted> expired;
+    std::vector<Admitted> never_fits;
+    std::vector<uint64_t> victims;
+  };
+
   /// Pops every queued request admissible under the current load, in the
   /// order FairSharePolicy picks them (no head-of-line bypass past its pick).
   /// An admissible request is one the placement policy can put on SOME
   /// device — fitting that device's remaining memory budget and TPOT
-  /// headroom — or the pick while the fleet is idle (guaranteed progress). Each popped request carries the device it
-  /// was placed on. A pick the policy reports as never_fits (no device's
-  /// budget could EVER hold it — possible under custom policies; the built-in
-  /// uniform-budget case is caught at Enqueue) is removed instead of blocking
-  /// the queue forever; the caller collects it via TakeNeverFits and fails it
-  /// with a typed kNeverFits result. A picked request whose deadline already
-  /// passed is likewise swept aside (TakeExpired) instead of absorbing a
-  /// deficit grant, and the policy re-picks.
+  /// headroom — or the pick while the fleet is idle (guaranteed progress).
+  /// Each admitted request carries the device it was placed on.
+  ///
+  /// Every queued entry whose deadline has passed is swept into `expired`
+  /// first, so a doomed request never absorbs a deficit grant or blocks the
+  /// queue. A pick the policy reports as never_fits (no device's budget could
+  /// EVER hold it — possible under custom policies; the built-in
+  /// uniform-budget case is caught at Enqueue) lands in `never_fits` instead
+  /// of blocking the queue forever.
   ///
   /// Preemption: when the picked request is blocked (all slots taken or no
-  /// device fits) and `preempt_victims` is non-null, the policy ranks
-  /// running lower-priority victims and the shortest prefix of that ranking whose suspension would let the pick
-  /// place is appended to `*preempt_victims`. Admission then stops — the
-  /// caller suspends the victims (Release + Requeue) and calls Admit again;
-  /// capacity only frees once real suspension happens. Callers stepping
-  /// mid-batch pass nullptr: preemption is a step-boundary-only affair.
-  std::vector<Admitted> Admit(std::vector<uint64_t>* preempt_victims = nullptr);
-
-  /// Drains requests a prior Admit() rejected as permanently unplaceable.
-  std::vector<Admitted> TakeNeverFits();
-
-  /// Drains requests a prior Admit() swept as expired-at-pick. The caller
-  /// finalizes them with kDeadlineExceeded (routing resume entries back to
-  /// its suspended set).
-  std::vector<Admitted> TakeExpired();
+  /// device fits) and `advise_preemption` is set, the policy ranks running
+  /// lower-priority victims and the shortest prefix of that ranking whose
+  /// suspension would let the pick place lands in `victims`. Admission then
+  /// stops — the caller suspends the victims (Release + Requeue) and calls
+  /// Admit again; capacity only frees once real suspension happens. Callers
+  /// stepping mid-batch leave it off: preemption is a step-boundary-only
+  /// affair.
+  AdmitRound Admit(bool advise_preemption = false);
 
   /// Re-queues a preempted request so a later Admit can resume it. The caller
   /// (the engine's suspend path) builds the entry: resume=true, original id /
@@ -343,9 +348,9 @@ class RequestScheduler {
   // --- Cancellation-aware queue surgery (live serving) ---
   //
   // Queued requests hold no reservation, so removal is pure bookkeeping; the
-  // caller finalizes the returned items (typed kCancelled/kDeadlineExceeded
-  // results). An id that a concurrent Admit() already popped is simply not
-  // found — exactly one side wins the queue entry.
+  // caller finalizes the returned items (typed kCancelled results). An id that
+  // a concurrent Admit() already popped is simply not found — exactly one side
+  // wins the queue entry.
 
   /// Removes one queued (not yet admitted) request. Empty when the id is
   /// unknown, already admitted, or already released. Resume entries are
@@ -353,9 +358,6 @@ class RequestScheduler {
   /// suspended request's queue entry out from under the driver, which owns
   /// the suspended lifecycle and passes include_resume=true.
   std::optional<Admitted> RemoveQueued(uint64_t id, bool include_resume = false);
-
-  /// Removes every queued request whose deadline has passed at `now`.
-  std::vector<Admitted> RemoveQueuedExpired(std::chrono::steady_clock::time_point now);
 
   /// Empties the queue (engine Abort). Active reservations are untouched.
   std::vector<Admitted> TakeAllQueued();
@@ -403,14 +405,15 @@ class RequestScheduler {
   /// Creates the tenant's ledger entry on first sight (weight from
   /// options.tenant_weights). Caller holds mu_.
   void EnsureTenantLocked(uint64_t tenant_id);
-  /// DRR reset: a tenant whose queue just emptied forfeits banked deficit
-  /// (idle tenants do not accumulate credit). Caller holds mu_.
-  void ResetDeficitIfDrainedLocked(uint64_t tenant_id);
-  /// Ranks running victims for a blocked pick and appends the shortest
-  /// ranking prefix whose suspension would let `blocked` place. Caller holds
-  /// mu_.
-  void AdviseVictimsLocked(const Admitted& blocked,
-                           std::vector<uint64_t>* victims) const;
+  /// Removes pending_[index] and returns it: the one way an entry leaves the
+  /// queue. Applies the DRR reset — a tenant whose queue just emptied
+  /// forfeits banked deficit (idle tenants do not accumulate credit). Caller
+  /// holds mu_.
+  Admitted ErasePendingLocked(size_t index);
+  /// Ranks running victims for a blocked pick and returns the shortest
+  /// ranking prefix whose suspension would let `blocked` place (empty when
+  /// none would). Caller holds mu_.
+  std::vector<uint64_t> AdviseVictimsLocked(const Admitted& blocked) const;
 
   struct ActiveEntry {
     AdmissionEstimate estimate;
@@ -445,8 +448,6 @@ class RequestScheduler {
   std::deque<Admitted> pending_;
   std::map<uint64_t, ActiveEntry> active_;
   std::vector<DeviceLoad> loads_;  ///< One per device; budgets fixed at ctor.
-  std::vector<Admitted> never_fits_;  ///< Rejected by placement; see TakeNeverFits.
-  std::vector<Admitted> expired_;     ///< Swept expired-at-pick; see TakeExpired.
   TenantLedger ledger_;  ///< Fair-share accounting, mutated via the policy.
   uint64_t next_id_ = 1;
   uint64_t admit_seq_ = 0;  ///< Stamps ActiveEntry::admit_order.

@@ -199,8 +199,9 @@ bool ServingEngine::CancelRequest(const std::shared_ptr<RequestTicket>& ticket) 
   // step boundary.
   finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
   if (auto adm = scheduler_.RemoveQueued(ticket->id)) {
-    FinalizeUnadmitted(std::move(*adm),
-                       Status::Cancelled("cancelled before admission"));
+    // RemoveQueued skips resume entries here, so this never touches the
+    // driver-owned suspended_ set.
+    FinalizeDequeued(std::move(*adm), Status::Cancelled("cancelled before admission"));
   }
   finalizing_.fetch_sub(1);
   // Notify on BOTH paths: the driver may need to observe the flag, and the
@@ -259,8 +260,14 @@ void ServingEngine::FinalizeResult(uint64_t id, RequestResult&& result) {
   }
 }
 
-void ServingEngine::FinalizeUnadmitted(RequestScheduler::Admitted&& adm,
-                                       Status status) {
+void ServingEngine::FinalizeDequeued(RequestScheduler::Admitted&& adm,
+                                     Status status) {
+  if (adm.resume) {
+    // A resume entry stands for a request parked in suspended_: owning the
+    // (just removed) entry, finalize the parked state.
+    FinalizeSuspended(adm.id, std::move(status));
+    return;
+  }
   RequestResult r;
   r.status = std::move(status);
   r.priority = adm.priority;
@@ -283,6 +290,26 @@ void ServingEngine::FinalizeSuspended(uint64_t id, Status status) {
   a->disk_kv_reservation.Release();
   a->result.status = std::move(status);
   FinalizeResult(a->id, std::move(a->result));
+}
+
+void ServingEngine::Fail(ActiveSession* a, Status status) {
+  if (a->result.status.ok()) a->result.status = std::move(status);
+  a->state = RequestState::kRetiring;
+}
+
+Status ServingEngine::CheckLive(ActiveSession* a,
+                                std::chrono::steady_clock::time_point now,
+                                const char* where) {
+  // Submit registers the ticket after Enqueue, so admission can outrun it;
+  // fetch lazily until it appears.
+  if (a->ticket == nullptr) a->ticket = FindTicket(a->id);
+  if (a->ticket != nullptr && a->ticket->cancel_requested.load()) {
+    return Status::Cancelled(std::string("cancelled ") + where);
+  }
+  if (a->deadline <= now) {
+    return Status::DeadlineExceeded(std::string("deadline expired ") + where);
+  }
+  return Status::Ok();
 }
 
 Status ServingEngine::SpillSuspendedKv(ActiveSession* a) {
@@ -343,9 +370,9 @@ bool ServingEngine::SuspendVictim(uint64_t id) {
                          [id](const auto& a) { return a->id == id; });
   if (it == active_.end()) return false;
   ActiveSession* a = it->get();
-  // A failed/terminal session is already on its way out — retiring it frees
-  // the slot anyway; suspending it would strand a dead request in suspended_.
-  if (a->failed || a->Terminal() || a->session == nullptr) return false;
+  // A retiring session is already on its way out — retiring it frees the
+  // slot anyway; suspending it would strand a dead request in suspended_.
+  if (a->state == RequestState::kRetiring || a->session == nullptr) return false;
 
   // Detach the KV and decode state. step/prefill_pos stay on the parked
   // ActiveSession — with pure fill callbacks they are the full generator
@@ -419,56 +446,38 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
     scheduler_.Release(adm.id);
     return;
   }
-  std::unique_ptr<ActiveSession> parked = std::move(it->second);
-  suspended_.erase(it);
-  ActiveSession* a = parked.get();
-
-  // Terminal-while-suspended states the sweeps have not seen yet (Admit just
-  // won the queue entry): finalize before rebuilding anything. Finalize
-  // before Release, as everywhere, so idleness implies visible results.
-  if (a->ticket == nullptr) a->ticket = FindTicket(a->id);
-  Status terminal;
-  if (a->ticket != nullptr && a->ticket->cancel_requested.load()) {
-    terminal = Status::Cancelled("cancelled while suspended");
-  } else if (a->deadline <= std::chrono::steady_clock::now()) {
-    terminal = Status::DeadlineExceeded("deadline expired while suspended");
-  }
+  ActiveSession* a = it->second.get();
   const uint64_t kv_bytes =
       a->suspended_kv.has_value() ? a->suspended_kv->kv_bytes : 0;
-  Status rebuilt;
-  AlayaDB::SessionResume resumed;
-  if (terminal.ok()) {
+
+  // Terminal-while-suspended states the sweeps have not seen yet (Admit just
+  // won the queue entry) finalize before anything is rebuilt.
+  Status status = CheckLive(a, std::chrono::steady_clock::now(), "while suspended");
+  if (status.ok()) {
     // Rebind to the exact context/prefix the session had (paging it back in
     // if it was spilled while suspended), then reattach the parked KV.
     Result<AlayaDB::SessionResume> r = db_->ResumeSession(
         a->result.reused_context_id, a->result.reused_prefix, adm.device);
-    if (r.ok()) {
-      resumed = std::move(r.value());
-      if (adm.gang.size() > 1) {
-        // Gang bind must precede AttachFromSuspend: a session only accepts a
-        // gang while it holds zero local KV.
-        rebuilt = resumed.session->BindGang(
-            std::make_shared<const DeviceGang>(&db_->env(), adm.gang));
-      }
-      if (rebuilt.ok() && a->suspended_on_disk) {
-        // The parked KV was spilled under host pressure; demand-page it back
-        // before the reattach (bit-identical serializer round-trip).
-        rebuilt = RestoreSuspendedKv(a);
-      }
-      if (rebuilt.ok()) {
-        rebuilt = resumed.session->AttachFromSuspend(std::move(*a->suspended_kv));
-      }
-    } else {
-      rebuilt = r.status();
+    status = r.status();
+    if (status.ok()) {
+      a->session = std::move(r.value().session);
+      a->context_ref = std::move(r.value().context_ref);
+      status = BindPlacement(a, adm, r.value().cross_device_transfer_bytes);
+    }
+    if (status.ok() && a->suspended_on_disk) {
+      // The parked KV was spilled under host pressure; demand-page it back
+      // before the reattach (bit-identical serializer round-trip).
+      status = RestoreSuspendedKv(a);
+    }
+    if (status.ok()) {
+      status = a->session->AttachFromSuspend(std::move(*a->suspended_kv));
     }
   }
-  if (!terminal.ok() || !rebuilt.ok()) {
-    a->suspended_kv.reset();
-    a->host_kv_reservation.Release();
-    a->disk_kv_reservation.Release();
-    a->result.status = terminal.ok() ? rebuilt : terminal;
-    FinalizeResult(a->id, std::move(a->result));
-    scheduler_.Release(a->id);
+  if (!status.ok()) {
+    // Finalize before Release, as everywhere, so idleness implies visible
+    // results.
+    FinalizeSuspended(adm.id, std::move(status));
+    scheduler_.Release(adm.id);
     return;
   }
 
@@ -478,10 +487,6 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
   // there is zero recompute: prefilled_tokens and the decoded outputs come
   // out identical to an uninterrupted run.
   a->suspended_kv.reset();
-  a->session = std::move(resumed.session);
-  a->context_ref = std::move(resumed.context_ref);
-  a->device = adm.device;
-  a->gang = adm.gang;
   Device& dev = db_->env().device(static_cast<size_t>(adm.device));
   dev.clock().Advance(dev.cost_model().TransferSeconds(kv_bytes));
   a->host_kv_reservation.Release();
@@ -498,111 +503,62 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
     TenantServingStats& ts = tenant_stats_[a->result.tenant_id];
     ts.tenant_id = a->result.tenant_id;
     ++ts.resumed;
-    DeviceServingStats& ds = device_stats_[static_cast<size_t>(adm.device)];
-    ++ds.placements;
-    if (resumed.cross_device_transfer_bytes > 0) {
-      ++ds.cross_device_reuses;
-      ds.transfer_bytes += resumed.cross_device_transfer_bytes;
-    }
-    if (adm.gang.size() > 1) {
-      ++snapshot_.gang_admissions;
-      for (const int m : adm.gang) {
-        ++device_stats_[static_cast<size_t>(m)].gang_shards;
-      }
-    }
   }
   if (newly != nullptr) newly->push_back(a);
-  active_.push_back(std::move(parked));
+  active_.push_back(std::move(it->second));
+  suspended_.erase(it);
 }
 
 void ServingEngine::SweepCancellations() {
   const auto now = std::chrono::steady_clock::now();
-  finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
-  for (RequestScheduler::Admitted& adm : scheduler_.RemoveQueuedExpired(now)) {
-    if (adm.resume) {
-      // A suspended request's deadline expired while it waited for a slot:
-      // owning its (just removed) resume entry, finalize the parked state.
-      FinalizeSuspended(adm.id,
-                        Status::DeadlineExceeded("deadline expired while suspended"));
-    } else {
-      FinalizeUnadmitted(std::move(adm),
-                         Status::DeadlineExceeded("deadline expired before admission"));
-    }
-  }
-  // Cancel-while-suspended: the caller-thread Cancel path deliberately skips
+  // Suspended requests: the caller-thread Cancel path deliberately skips
   // resume entries (the driver owns the suspended lifecycle), so the driver
-  // sweeps the flags here — winning the queue entry first so a concurrent
+  // checks them here — winning the queue entry first so a concurrent
   // observer can never see the id both finalized and still queued.
+  finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
   for (auto it = suspended_.begin(); it != suspended_.end();) {
     ActiveSession* a = it->second.get();
-    if (a->ticket == nullptr) a->ticket = FindTicket(a->id);
-    const bool cancelled =
-        a->ticket != nullptr && a->ticket->cancel_requested.load();
     ++it;  // FinalizeSuspended erases; advance first.
-    if (cancelled &&
+    Status live = CheckLive(a, now, "while suspended");
+    if (!live.ok() &&
         scheduler_.RemoveQueued(a->id, /*include_resume=*/true).has_value()) {
-      FinalizeSuspended(a->id, Status::Cancelled("cancelled while suspended"));
+      FinalizeSuspended(a->id, std::move(live));
     }
   }
   finalizing_.fetch_sub(1);
   for (auto& a : active_) {
-    if (a->failed) continue;
-    // Submit registers the ticket after Enqueue, so admission can outrun it;
-    // fetch lazily until it appears.
-    if (a->ticket == nullptr) a->ticket = FindTicket(a->id);
-    if (a->deadline <= now) {
-      a->result.status = Status::DeadlineExceeded("request deadline expired");
-      a->failed = true;
-    } else if (a->ticket != nullptr && a->ticket->cancel_requested.load()) {
-      a->result.status = Status::Cancelled("cancelled by caller");
-      a->failed = true;
-    }
+    if (a->state == RequestState::kRetiring) continue;
+    Status live = CheckLive(a.get(), now, "while running");
+    if (!live.ok()) Fail(a.get(), std::move(live));
   }
 }
 
 size_t ServingEngine::AdmitInto(std::vector<ActiveSession*>* newly,
                                 bool allow_preempt) {
-  const ModelConfig& model = db_->options().model;
-  const size_t qdim = static_cast<size_t>(model.num_q_heads) * model.head_dim;
-  const size_t kvdim = static_cast<size_t>(model.num_kv_heads) * model.head_dim;
-  size_t added = 0;
   // Admit → suspend advised victims → admit again, until the scheduler stops
   // advising (or suspension frees nothing). Capacity only moves when a victim
   // actually suspends, so the loop terminates: each round either admits, or
   // shrinks the running set, or breaks.
   std::vector<RequestScheduler::Admitted> admitted;
   for (;;) {
-    std::vector<uint64_t> victims;
-    // Placement can reject a head as permanently unplaceable (custom
-    // policies; the uniform-budget case already failed at Submit), and a pick
-    // can be swept as expired: those requests hold no reservation, so the
-    // finalizing_ guard keeps WaitIdle honest across the
-    // dequeue-to-publication window.
+    // Expired and never-fits entries hold no reservation, so the finalizing_
+    // guard keeps WaitIdle honest across the dequeue-to-publication window.
     finalizing_.fetch_add(1);
-    std::vector<RequestScheduler::Admitted> round =
-        scheduler_.Admit(allow_preempt ? &victims : nullptr);
-    for (RequestScheduler::Admitted& adm : scheduler_.TakeNeverFits()) {
-      FinalizeUnadmitted(std::move(adm),
-                         Status::NeverFits("no device's budget can hold the request"));
+    RequestScheduler::AdmitRound round = scheduler_.Admit(allow_preempt);
+    for (RequestScheduler::Admitted& adm : round.expired) {
+      FinalizeDequeued(std::move(adm),
+                       Status::DeadlineExceeded("deadline expired while queued"));
     }
-    for (RequestScheduler::Admitted& adm : scheduler_.TakeExpired()) {
-      // Expired at pick time, before the boundary sweep saw it. Suspended
-      // requests route back through their parked state.
-      if (adm.resume) {
-        FinalizeSuspended(
-            adm.id, Status::DeadlineExceeded("deadline expired while suspended"));
-      } else {
-        FinalizeUnadmitted(
-            std::move(adm),
-            Status::DeadlineExceeded("deadline expired before admission"));
-      }
+    for (RequestScheduler::Admitted& adm : round.never_fits) {
+      FinalizeDequeued(std::move(adm),
+                       Status::NeverFits("no device's budget can hold the request"));
     }
     finalizing_.fetch_sub(1);
-    admitted.insert(admitted.end(), std::make_move_iterator(round.begin()),
-                    std::make_move_iterator(round.end()));
-    if (victims.empty()) break;
+    admitted.insert(admitted.end(), std::make_move_iterator(round.admitted.begin()),
+                    std::make_move_iterator(round.admitted.end()));
+    if (round.victims.empty()) break;
     size_t suspended_now = 0;
-    for (const uint64_t vid : victims) {
+    for (const uint64_t vid : round.victims) {
       if (SuspendVictim(vid)) ++suspended_now;
     }
     // Advice built on stale running state (victims already terminal) may free
@@ -610,131 +566,93 @@ size_t ServingEngine::AdmitInto(std::vector<ActiveSession*>* newly,
     // anyway and the next Admit sees the freed slots.
     if (suspended_now == 0) break;
   }
+
+  const ModelConfig& model = db_->options().model;
+  const size_t qdim = static_cast<size_t>(model.num_q_heads) * model.head_dim;
+  const size_t kvdim = static_cast<size_t>(model.num_kv_heads) * model.head_dim;
+  size_t added = 0;
   for (RequestScheduler::Admitted& adm : admitted) {
     if (adm.resume) {
       ResumeSuspended(std::move(adm), newly);
       ++added;
       continue;
     }
-    // Cancellation or deadline expiry may have landed after the queue pop;
-    // don't build a session that would only retire immediately. Admit() took
-    // the reservation, so return it explicitly on these paths.
-    std::shared_ptr<RequestTicket> ticket = FindTicket(adm.id);
-    const auto deadline = adm.Deadline();
-    // Finalize BEFORE Release (mirroring FinishSession): the reservation keeps
-    // WaitIdle's predicate false until the terminal result is visible.
-    if (ticket != nullptr && ticket->cancel_requested.load()) {
-      const uint64_t rid = adm.id;
-      FinalizeUnadmitted(std::move(adm), Status::Cancelled("cancelled at admission"));
-      scheduler_.Release(rid);
-      continue;
-    }
-    if (deadline <= std::chrono::steady_clock::now()) {
-      const uint64_t rid = adm.id;
-      FinalizeUnadmitted(std::move(adm),
-                         Status::DeadlineExceeded("deadline expired at admission"));
-      scheduler_.Release(rid);
-      continue;
-    }
-
     auto active = std::make_unique<ActiveSession>();
-    active->id = adm.id;
-    active->device = adm.device;
-    active->gang = adm.gang;
-    active->request = std::move(adm.request);
-    active->ticket = std::move(ticket);
-    active->submit_time = adm.submit_time;
-    active->deadline = deadline;
-    active->result.id = adm.id;
-    active->result.priority = adm.priority;
-    active->result.tenant_id = adm.tenant_id;
+    ActiveSession* a = active.get();
+    a->id = adm.id;
+    a->deadline = adm.Deadline();
+    a->request = std::move(adm.request);
+    a->submit_time = adm.submit_time;
+    a->result.id = adm.id;
+    a->result.priority = adm.priority;
+    a->result.tenant_id = adm.tenant_id;
+    // Cancellation or deadline expiry may have landed after the queue pop:
+    // don't build a session that would only retire immediately. FinishSession
+    // publishes the result before returning the reservation Admit() took.
+    Status status = CheckLive(a, std::chrono::steady_clock::now(), "at admission");
+    if (!status.ok()) {
+      Fail(a, std::move(status));
+      FinishSession(a);
+      continue;
+    }
 
     // Bind the session to its placed device: residency lands on that
     // device's tracker, modeled kernels on its clock, and a matched context
     // warm elsewhere pays the cross-device window transfer here.
     Result<AlayaDB::SessionCreation> created =
-        db_->CreateSession(active->request.prompt, adm.device);
-    if (created.ok()) {
-      // Placements count sessions that actually materialized on the device —
-      // a failed CreateSession served nothing there, and consumers gate on
-      // placements > 0 to decide whether a device was used.
-      std::lock_guard<std::mutex> lk(mu_);
-      DeviceServingStats& ds = device_stats_[static_cast<size_t>(adm.device)];
-      ++ds.placements;
-      if (created.value().cross_device_transfer_bytes > 0) {
-        ++ds.cross_device_reuses;
-        ds.transfer_bytes += created.value().cross_device_transfer_bytes;
-      }
-    }
-    if (!created.ok()) {
-      active->result.status = created.status();
-      active->failed = true;
-    } else if (!created.value().truncated_prompt.empty() &&
-               active->request.fill_prompt == nullptr) {
+        db_->CreateSession(a->request.prompt, adm.device);
+    status = created.status();
+    if (status.ok() && !created.value().truncated_prompt.empty() &&
+        a->request.fill_prompt == nullptr) {
       // The unmatched prompt suffix must be prefilled before decoding, and
       // only the caller knows its QKV. Fail honestly instead of silently
       // attending to a context missing those tokens.
-      active->result.status = Status::NotSupported(
+      status = Status::NotSupported(
           "prompt extends past every stored context and the request has no "
           "fill_prompt callback to prefill the suffix");
-      active->failed = true;
-    } else {
+    }
+    if (status.ok()) {
       AlayaDB::SessionCreation& sc = created.value();
-      active->session = std::move(sc.session);
-      active->context_ref = std::move(sc.context_ref);
-      active->result.reused_prefix = sc.reused_prefix;
-      active->result.reused_context_id = sc.context_id;
-      if (adm.gang.size() > 1) {
-        // Context parallelism: the scheduler placed this request across a
-        // device gang. Bind before any prefill lands — a session only accepts
-        // a gang while its local KV is empty.
-        Status bound = active->session->BindGang(
-            std::make_shared<const DeviceGang>(&db_->env(), adm.gang));
-        if (!bound.ok()) {
-          active->result.status = bound;
-          active->failed = true;
-        } else {
-          std::lock_guard<std::mutex> lk(mu_);
-          ++snapshot_.gang_admissions;
-          for (const int m : adm.gang) {
-            ++device_stats_[static_cast<size_t>(m)].gang_shards;
-          }
-        }
-      }
-      if (!active->failed) {
+      a->session = std::move(sc.session);
+      a->context_ref = std::move(sc.context_ref);
+      a->result.reused_prefix = sc.reused_prefix;
+      a->result.reused_context_id = sc.context_id;
+      status = BindPlacement(a, adm, sc.cross_device_transfer_bytes);
+      if (status.ok()) {
         // The enqueue-time prefix probe was an estimate; the store may have
         // changed since (it will, under background materialization). Re-anchor
         // the admission reservation to the reuse the session actually got, so
         // reserved bytes/seconds track real footprints.
         scheduler_.UpdateReservation(
-            adm.id, scheduler_.Estimate(active->request, sc.reused_prefix));
+            adm.id, scheduler_.Estimate(a->request, sc.reused_prefix));
         // prefill_pos is always anchored to the reuse (== prompt length when
         // fully covered): the suspend path snapshots it as the resume position
         // regardless of which phase the session is in.
-        active->prefill_pos = sc.reused_prefix;
+        a->prefill_pos = sc.reused_prefix;
         if (!sc.truncated_prompt.empty()) {
-          active->state = RequestState::kPrefilling;
+          a->state = RequestState::kPrefilling;
           // Scratch sized for the largest chunk any step can grant; a budgeted
           // step simply uses a prefix of it.
           const size_t chunk = scheduler_.options().prefill_chunk_tokens;
-          active->pq.resize(chunk * qdim);
-          active->pk.resize(chunk * kvdim);
-          active->pv.resize(chunk * kvdim);
+          a->pq.resize(chunk * qdim);
+          a->pk.resize(chunk * kvdim);
+          a->pv.resize(chunk * kvdim);
         } else {
-          active->state = RequestState::kDecoding;
+          a->state = RequestState::kDecoding;
         }
       }
     }
+    if (!status.ok()) Fail(a, std::move(status));
 
-    active->q.resize(qdim);
-    active->k.resize(kvdim);
-    active->v.resize(kvdim);
-    active->out.resize(qdim);
-    active->head_stats.resize(model.num_q_heads);
-    if (active->request.record_outputs) {
-      active->result.outputs.reserve(active->request.max_new_tokens * qdim);
+    a->q.resize(qdim);
+    a->k.resize(kvdim);
+    a->v.resize(kvdim);
+    a->out.resize(qdim);
+    a->head_stats.resize(model.num_q_heads);
+    if (a->request.record_outputs) {
+      a->result.outputs.reserve(a->request.max_new_tokens * qdim);
     }
-    if (newly != nullptr) newly->push_back(active.get());
+    if (newly != nullptr) newly->push_back(a);
     active_.push_back(std::move(active));
     ++added;
   }
@@ -744,10 +662,202 @@ size_t ServingEngine::AdmitInto(std::vector<ActiveSession*>* newly,
   return added;
 }
 
-void ServingEngine::AdmitPending() { (void)AdmitInto(nullptr, /*allow_preempt=*/true); }
+Status ServingEngine::BindPlacement(ActiveSession* a,
+                                    const RequestScheduler::Admitted& adm,
+                                    uint64_t cross_device_transfer_bytes) {
+  a->device = adm.device;
+  const bool gang = adm.gang.size() > 1;
+  Status bound;
+  if (gang) {
+    // Context parallelism: the scheduler placed this request across a device
+    // gang. Bind before any KV lands — before prefill on admission, before
+    // AttachFromSuspend on resume.
+    bound = a->session->BindGang(
+        std::make_shared<const DeviceGang>(&db_->env(), adm.gang));
+  }
+  // Placements count sessions that actually materialized on the device —
+  // consumers gate on placements > 0 to decide whether a device was used.
+  std::lock_guard<std::mutex> lk(mu_);
+  DeviceServingStats& ds = device_stats_[static_cast<size_t>(adm.device)];
+  ++ds.placements;
+  if (cross_device_transfer_bytes > 0) {
+    ++ds.cross_device_reuses;
+    ds.transfer_bytes += cross_device_transfer_bytes;
+  }
+  if (gang && bound.ok()) {
+    ++snapshot_.gang_admissions;
+    for (const int m : adm.gang) {
+      ++device_stats_[static_cast<size_t>(m)].gang_shards;
+    }
+  }
+  return bound;
+}
 
-size_t ServingEngine::MidStepAdmit(PrefillWave* wave, size_t* budget_left,
-                                   std::vector<ActiveSession*>* chunked) {
+struct ServingEngine::StepState {
+  /// Sessions with work this step, in stable submit order (determinism):
+  /// Prefilling sessions push one budgeted prompt chunk, Decoding sessions
+  /// run one lockstep token.
+  std::vector<ActiveSession*> decoding, prefilling;
+  /// Every session whose chunk launched this step — mid-step admissions
+  /// included — for the fold after the join.
+  std::vector<ActiveSession*> chunked;
+  PrefillWave wave;
+  size_t budget_left = 0;  ///< Unspent budget mid-step admissions draw from.
+  size_t tokens = 0;
+  size_t prefilled = 0;
+  /// Per-device work this step (folded into device_stats_ at publish).
+  std::vector<size_t> dev_tokens, dev_prefilled;
+  /// Per-layer head jobs: allocated once per step, refilled every layer.
+  std::vector<HeadAttentionJob> jobs;
+  std::vector<ActiveSession*> job_owner;
+  std::vector<Status> job_status;
+};
+
+Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
+  const uint32_t layers = db_->options().model.num_layers;
+  StepState s;
+  if (!BeginStep(&s)) return Status::Ok();
+  // The wave tasks write into the sessions' scratch and chunk_status, so
+  // every exit path below MUST pass the JoinWave join — a decode error is
+  // deferred, not returned from inside the loop.
+  Status decode_status;
+  for (uint32_t layer = 0; !s.decoding.empty() && layer < layers; ++layer) {
+    decode_status = DecodeLayer(&s, layer);
+    if (!decode_status.ok()) break;
+    // Mid-step admission poll, between layers: a request that arrived while
+    // this layer ran gets its session built NOW and its first prefill chunk
+    // (budget permitting) launched into the wave already in flight — it does
+    // not wait for the batch to drain to a step boundary. Newly admitted
+    // sessions never join the current step's decode lockstep (decode starts
+    // next step), so the per-layer batch stays over a fixed set. The last
+    // layer skips the poll: a chunk launched there could not overlap
+    // anything and would only delay the join.
+    if (options_.midstep_admission && layer + 1 < layers) MidStepAdmit(&s);
+  }
+  // Gated with midstep_admission so the boundary-only baseline keeps its
+  // exact retirement timing.
+  if (options_.midstep_admission) RetireMidStep(step_timer);
+  JoinWave(&s);
+  ALAYA_RETURN_IF_ERROR(decode_status);
+  FoldPrefillChunks(&s);
+  PublishStepCounters(s);
+  return Status::Ok();
+}
+
+bool ServingEngine::BeginStep(StepState* s) {
+  for (auto& a : active_) {
+    if (a->state == RequestState::kPrefilling) {
+      s->prefilling.push_back(a.get());
+    } else if (a->state == RequestState::kDecoding) {
+      s->decoding.push_back(a.get());
+    }
+  }
+  if (s->decoding.empty() && s->prefilling.empty()) return false;
+
+  // Split the step's token budget: decode is funded first (one token per
+  // Decoding session — the budget throttles prefill, never TPOT), the
+  // remainder is dealt to Prefilling sessions FIFO in chunks.
+  std::vector<size_t> remaining(s->prefilling.size());
+  for (size_t i = 0; i < s->prefilling.size(); ++i) {
+    remaining[i] = s->prefilling[i]->request.prompt.size() - s->prefilling[i]->prefill_pos;
+  }
+  const RequestScheduler::StepPlan plan =
+      scheduler_.PlanStep(s->decoding.size(), remaining);
+  s->budget_left = plan.budget_left;
+
+  // Launch this step's chunks into the wave. Prefilling and decoding sessions
+  // are disjoint, so the chunks overlap the entire decode layer loop (joined
+  // once, before the fold) instead of stalling every decoder's first layer
+  // behind the slowest chunk.
+  s->chunked.reserve(s->prefilling.size());
+  for (size_t i = 0; i < s->prefilling.size(); ++i) {
+    s->prefilling[i]->chunk_granted = 0;
+    if (plan.chunks[i] > 0) {
+      LaunchChunk(s->prefilling[i], plan.chunks[i], &s->wave);
+      s->chunked.push_back(s->prefilling[i]);
+    }
+  }
+  s->dev_tokens.assign(device_stats_.size(), 0);
+  s->dev_prefilled.assign(device_stats_.size(), 0);
+  const size_t head_jobs = s->decoding.size() * db_->options().model.num_q_heads;
+  s->jobs.reserve(head_jobs);
+  s->job_owner.reserve(head_jobs);
+  return true;
+}
+
+Status ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
+  const ModelConfig& model = db_->options().model;
+  const size_t d = model.head_dim;
+  // Update: append this step's K/V to each session-local cache. Sessions are
+  // independent, so this fans out across the pool; within a session the call
+  // is exclusive (no attention runs yet).
+  pool_->ParallelFor(0, s->decoding.size(), [&](size_t i) {
+    ActiveSession* a = s->decoding[i];
+    if (a->state == RequestState::kRetiring) return;  // Failed at an earlier layer.
+    a->request.fill_step(a->step, layer, a->q.data(), a->k.data(), a->v.data());
+    Status st = a->session->Update(layer, a->q.data(), a->k.data(), a->v.data());
+    if (!st.ok()) Fail(a, std::move(st));
+  });
+
+  // Batched attention: flatten every decoding session's (session, q_head)
+  // DIPRS/attention query of this layer into one pool batch. A job's failure
+  // fails its own session, never the fleet.
+  s->jobs.clear();
+  s->job_owner.clear();
+  for (ActiveSession* a : s->decoding) {
+    if (a->state == RequestState::kRetiring) continue;
+    for (uint32_t h = 0; h < model.num_q_heads; ++h) {
+      a->head_stats[h] = AttentionCallStats{};
+      s->jobs.push_back(HeadAttentionJob{a->session.get(), layer, h,
+                                         a->q.data() + static_cast<size_t>(h) * d,
+                                         a->out.data() + static_cast<size_t>(h) * d,
+                                         &a->head_stats[h]});
+      s->job_owner.push_back(a);
+    }
+  }
+  // With a non-null per-job vector ExecuteHeadJobs only returns Ok.
+  ALAYA_RETURN_IF_ERROR(ExecuteHeadJobs(s->jobs, pool_, &s->job_status));
+  for (size_t j = 0; j < s->job_status.size(); ++j) {
+    if (!s->job_status[j].ok()) Fail(s->job_owner[j], s->job_status[j]);
+  }
+
+  // Accounting: fold head stats, charge the modeled device clock once per
+  // session-layer (AttendHead leaves it untouched); after the last layer,
+  // emit the token.
+  for (ActiveSession* a : s->decoding) {
+    if (a->state == RequestState::kRetiring) continue;
+    AttentionCallStats layer_stats;
+    for (const AttentionCallStats& hs : a->head_stats) layer_stats.Add(hs);
+    a->session->ChargeModeledGpuSeconds(layer_stats.modeled_gpu_seconds);
+    scheduler_.RecordProgress(a->id, layer_stats.modeled_gpu_seconds);
+    a->result.stats.Add(layer_stats);
+    if (layer + 1 < model.num_layers) continue;
+    if (a->request.record_outputs) {
+      a->result.outputs.insert(a->result.outputs.end(), a->out.begin(), a->out.end());
+    }
+    if (a->result.steps_completed == 0) {
+      a->result.ttft_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        a->submit_time)
+              .count();
+    }
+    // Stream the finished output block before advancing the step counter:
+    // callbacks observe steps 0..N-1 strictly in order, from the driver
+    // thread, with the span valid only for the duration of the call.
+    if (a->request.on_token != nullptr) {
+      a->request.on_token(a->step, std::span<const float>(a->out.data(), a->out.size()));
+    }
+    ++a->result.steps_completed;
+    ++a->step;
+    ++s->tokens;
+    ++s->dev_tokens[static_cast<size_t>(a->device)];
+    if (a->step == a->request.max_new_tokens) a->state = RequestState::kRetiring;
+  }
+  return Status::Ok();
+}
+
+void ServingEngine::MidStepAdmit(StepState* s) {
+  if (scheduler_.queued() == 0) return;
   std::vector<ActiveSession*> newly;
   // No preemption mid-step: suspending a session whose pointers are live in
   // the running step's decode batch would pull state out from under it.
@@ -764,18 +874,17 @@ size_t ServingEngine::MidStepAdmit(PrefillWave* wave, size_t* budget_left,
     // session entered in (DriverLoop stamps continuing sessions at the top of
     // the step; mid-step arrivals are stamped here).
     a->was_prefilling = a->state == RequestState::kPrefilling;
-    if (a->failed || a->state != RequestState::kPrefilling) continue;
+    if (a->state != RequestState::kPrefilling) continue;
     // First chunk out of the step's unspent budget, straight into the wave
     // already in flight — the mid-step admission payoff: prefill starts now,
     // not at the next step boundary.
     const size_t need = a->request.prompt.size() - a->prefill_pos;
-    const size_t grant = scheduler_.GrantChunk(need, budget_left);
+    const size_t grant = scheduler_.GrantChunk(need, &s->budget_left);
     if (grant > 0) {
-      LaunchChunk(a, grant, wave);
-      chunked->push_back(a);
+      LaunchChunk(a, grant, &s->wave);
+      s->chunked.push_back(a);
     }
   }
-  return admitted;
 }
 
 void ServingEngine::LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wave) {
@@ -792,198 +901,28 @@ void ServingEngine::LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wav
   wave->Launch(job, &a->chunk_status, pool_);
 }
 
-Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
-  const ModelConfig& model = db_->options().model;
-  const size_t d = model.head_dim;
-
-  // Sessions with work this step (stable submit order for determinism), split
-  // by state: Prefilling sessions push one budgeted prompt chunk, Decoding
-  // sessions run one lockstep token.
-  std::vector<ActiveSession*> decoding, prefilling;
-  for (auto& a : active_) {
-    if (a->failed) continue;
-    if (a->state == RequestState::kPrefilling) {
-      prefilling.push_back(a.get());
-    } else if (a->state == RequestState::kDecoding &&
-               a->step < a->request.max_new_tokens) {
-      decoding.push_back(a.get());
-    }
+void ServingEngine::RetireMidStep(const WallTimer& step_timer) {
+  // A session whose last token just decoded is retired NOW — result
+  // published, reservation released — so its slot is free for the wave-tail
+  // admission polls instead of sitting occupied until the step boundary. Safe
+  // here: the layer loop is done and `decoding` is not read again, and
+  // erasing from active_ only moves unique_ptrs, never the sessions
+  // `prefilling`/`chunked` point at. Retirement frees the retiring sessions'
+  // KV before the end-of-step residency sample; take the step's high-water
+  // sample first so peak_gpu_bytes still reflects the footprint this step
+  // decoded at.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    SampleResidencyPeaksLocked();
   }
-  if (decoding.empty() && prefilling.empty()) return Status::Ok();
-
-  // Split the step's token budget: decode is funded first (one token per
-  // Decoding session — the budget throttles prefill, never TPOT), the
-  // remainder is dealt to Prefilling sessions FIFO in chunks. `chunked`
-  // collects every session whose chunk launched this step — including
-  // mid-step admissions — for the accounting pass after the join.
-  std::vector<size_t> remaining(prefilling.size());
-  for (size_t i = 0; i < prefilling.size(); ++i) {
-    remaining[i] = prefilling[i]->request.prompt.size() - prefilling[i]->prefill_pos;
+  const size_t retired = RetireSessions(&step_timer);
+  if (retired > 0) {
+    std::lock_guard<std::mutex> lk(mu_);
+    snapshot_.midstep_retirements += retired;
   }
-  const RequestScheduler::StepPlan plan =
-      scheduler_.PlanStep(decoding.size(), remaining);
-  size_t budget_left = plan.budget_left;
+}
 
-  // Launch this step's chunks into the wave. Prefilling and decoding sessions
-  // are disjoint, so the chunks overlap the entire decode layer loop below
-  // (joined once, before accounting) instead of stalling every decoder's
-  // first layer behind the slowest chunk. The wave tasks write into the
-  // sessions' scratch and chunk_status, so every exit path below MUST pass
-  // the wave.Wait() join — decode errors are deferred, not returned from
-  // inside the loop.
-  PrefillWave wave;
-  std::vector<ActiveSession*> chunked;
-  chunked.reserve(prefilling.size());
-  for (size_t i = 0; i < prefilling.size(); ++i) {
-    prefilling[i]->chunk_granted = 0;
-    if (plan.chunks[i] > 0) {
-      LaunchChunk(prefilling[i], plan.chunks[i], &wave);
-      chunked.push_back(prefilling[i]);
-    }
-  }
-
-  size_t step_tokens = 0;
-  size_t step_prefilled = 0;
-  // Per-device work this step (folded into device_stats_ under mu_ below).
-  std::vector<size_t> dev_tokens(device_stats_.size(), 0);
-  std::vector<size_t> dev_prefilled(device_stats_.size(), 0);
-  Status decode_status;  // Engine-level decode error, deferred past the join.
-  std::vector<HeadAttentionJob> jobs;
-  std::vector<ActiveSession*> job_owner;
-  std::vector<Status> job_status;
-  jobs.reserve(decoding.size() * model.num_q_heads);
-  job_owner.reserve(decoding.size() * model.num_q_heads);
-
-  for (uint32_t layer = 0; decoding.size() > 0 && layer < model.num_layers;
-       ++layer) {
-    // Phase 1 — Update: append this step's K/V to each session-local cache.
-    // Sessions are independent, so this fans out across the pool; within a
-    // session the call is exclusive (no attention runs yet).
-    pool_->ParallelFor(0, decoding.size(), [&](size_t i) {
-      ActiveSession* a = decoding[i];
-      if (a->failed) return;  // Failed at an earlier layer of this step.
-      a->request.fill_step(a->step, layer, a->q.data(), a->k.data(), a->v.data());
-      Status s = a->session->Update(layer, a->q.data(), a->k.data(), a->v.data());
-      if (!s.ok()) {
-        a->result.status = s;
-        a->failed = true;
-      }
-    });
-
-    // Phase 2 — batched attention: flatten every decoding session's (session,
-    // q_head) DIPRS/attention query of this layer into one pool batch. A
-    // job's failure fails its own session, never the fleet.
-    jobs.clear();
-    job_owner.clear();
-    for (ActiveSession* a : decoding) {
-      if (a->failed) continue;
-      for (uint32_t h = 0; h < model.num_q_heads; ++h) {
-        a->head_stats[h] = AttentionCallStats{};
-        jobs.push_back(HeadAttentionJob{a->session.get(), layer, h,
-                                        a->q.data() + static_cast<size_t>(h) * d,
-                                        a->out.data() + static_cast<size_t>(h) * d,
-                                        &a->head_stats[h]});
-        job_owner.push_back(a);
-      }
-    }
-    // With a non-null per-job vector ExecuteHeadJobs only returns Ok, but do
-    // not return early on principle: the detached prefill tasks still hold
-    // references into this frame until the join below.
-    decode_status = ExecuteHeadJobs(jobs, pool_, &job_status);
-    if (!decode_status.ok()) break;
-    for (size_t j = 0; j < job_status.size(); ++j) {
-      if (!job_status[j].ok() && !job_owner[j]->failed) {
-        job_owner[j]->result.status = job_status[j];
-        job_owner[j]->failed = true;
-      }
-    }
-
-    // Phase 3 — per-session accounting: fold head stats, charge the modeled
-    // device clock once per session-layer (AttendHead leaves it untouched).
-    for (ActiveSession* a : decoding) {
-      if (a->failed) continue;
-      AttentionCallStats layer_stats;
-      for (const AttentionCallStats& hs : a->head_stats) layer_stats.Add(hs);
-      a->session->ChargeModeledGpuSeconds(layer_stats.modeled_gpu_seconds);
-      scheduler_.RecordProgress(a->id, layer_stats.modeled_gpu_seconds);
-      a->result.stats.Add(layer_stats);
-      if (layer + 1 == model.num_layers) {
-        if (a->request.record_outputs) {
-          a->result.outputs.insert(a->result.outputs.end(), a->out.begin(),
-                                   a->out.end());
-        }
-        if (a->result.steps_completed == 0) {
-          a->result.ttft_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            a->submit_time)
-                  .count();
-        }
-        // Stream the finished output block before advancing the step counter:
-        // callbacks observe steps 0..N-1 strictly in order, from the driver
-        // thread, with the span valid only for the duration of the call.
-        if (a->request.on_token != nullptr) {
-          a->request.on_token(a->step,
-                              std::span<const float>(a->out.data(), a->out.size()));
-        }
-        ++a->result.steps_completed;
-        ++a->step;
-        ++step_tokens;
-        ++dev_tokens[static_cast<size_t>(a->device)];
-      }
-    }
-
-    // Mid-step admission poll, between layers: a request that arrived while
-    // this layer ran gets its session built NOW and its first prefill chunk
-    // (budget permitting) launched into the wave already in flight — it does
-    // not wait for the batch to drain to a step boundary. Newly admitted
-    // sessions never join the current step's decode lockstep (decode starts
-    // next step), so the per-layer batch below stays over a fixed set. The
-    // last layer skips the poll: a chunk launched there could not overlap
-    // anything and would only delay the join.
-    if (options_.midstep_admission && layer + 1 < model.num_layers &&
-        scheduler_.queued() > 0) {
-      MidStepAdmit(&wave, &budget_left, &chunked);
-    }
-  }
-
-  // Mid-step retirement: a session whose last token just decoded is retired
-  // NOW — result published, reservation released — so its slot is free for
-  // the wave-tail admission polls below instead of sitting occupied until the
-  // step boundary. Safe here: the layer loop is done and `decoding` is not
-  // read again, and erasing from active_ only moves unique_ptrs, never the
-  // sessions `prefilling`/`chunked` point at. Gated with midstep_admission so
-  // the boundary-only baseline keeps its exact retirement timing.
-  if (options_.midstep_admission) {
-    // Retirement frees the retiring sessions' KV before the end-of-step
-    // residency sample; take the step's high-water sample first so
-    // peak_gpu_bytes still reflects the footprint this step decoded at.
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      SampleResidencyPeaksLocked();
-    }
-    size_t retired = 0;
-    auto it = active_.begin();
-    while (it != active_.end()) {
-      ActiveSession* a = it->get();
-      if (!a->failed && a->state == RequestState::kDecoding &&
-          a->step >= a->request.max_new_tokens) {
-        // The driver's post-step attribution loop no longer sees this
-        // session; attribute its partial-step wall time before finalizing.
-        a->result.decode_wall_seconds += step_timer.ElapsedSeconds();
-        a->state = RequestState::kRetiring;
-        FinishSession(a);
-        it = active_.erase(it);
-        ++retired;
-      } else {
-        ++it;
-      }
-    }
-    if (retired > 0) {
-      std::lock_guard<std::mutex> lk(mu_);
-      snapshot_.midstep_retirements += retired;
-    }
-  }
-
+void ServingEngine::JoinWave(StepState* s) {
   // Poll admissions while waiting out the wave — on every step, not just
   // prefill-only ones. For prefill-only steps this is the only poll site (no
   // layer loop to interleave with); for mixed steps it extends coverage past
@@ -991,31 +930,26 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   // the final decode layer or a long chunk still enters mid-step and its
   // chunk joins the same wave.
   if (options_.midstep_admission) {
-    while (!wave.WaitFor(std::chrono::microseconds(200))) {
-      if (scheduler_.queued() > 0) {
-        MidStepAdmit(&wave, &budget_left, &chunked);
-      }
-    }
+    while (!s->wave.WaitFor(std::chrono::microseconds(200))) MidStepAdmit(s);
   }
+  s->wave.Wait();
+}
 
-  // Join the prefill chunks (unconditionally — see the launch comment), then
-  // propagate any deferred decode error, then fold the prefill results and
-  // charge the modeled device cost: each prompt token is one full-attention
+void ServingEngine::FoldPrefillChunks(StepState* s) {
+  // Charge the modeled device cost: each prompt token is one full-attention
   // pass over the context visible at its position (per layer and query head)
   // — the prefill analogue of the decode-side per-step charge.
-  wave.Wait();
-  ALAYA_RETURN_IF_ERROR(decode_status);
+  const ModelConfig& model = db_->options().model;
   const CostModel& cost = db_->env().cost_model();
-  for (ActiveSession* a : chunked) {
+  for (ActiveSession* a : s->chunked) {
     if (!a->chunk_status.ok()) {
-      a->result.status = a->chunk_status;
-      a->failed = true;
+      Fail(a, a->chunk_status);
       continue;
     }
     double modeled = 0;
     for (size_t t = 0; t < a->chunk_granted; ++t) {
       const double visible = static_cast<double>(a->prefill_pos + t + 1);
-      modeled += cost.GpuAttentionSeconds(4.0 * visible * d);
+      modeled += cost.GpuAttentionSeconds(4.0 * visible * model.head_dim);
     }
     modeled *= static_cast<double>(model.num_q_heads) * model.num_layers;
     a->session->ChargeModeledGpuSeconds(modeled);
@@ -1023,32 +957,33 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     a->result.stats.modeled_gpu_seconds += modeled;
     a->prefill_pos += a->chunk_granted;
     a->result.prefilled_tokens += a->chunk_granted;
-    step_prefilled += a->chunk_granted;
-    dev_prefilled[static_cast<size_t>(a->device)] += a->chunk_granted;
+    s->prefilled += a->chunk_granted;
+    s->dev_prefilled[static_cast<size_t>(a->device)] += a->chunk_granted;
     a->chunk_granted = 0;
     if (a->prefill_pos == a->request.prompt.size()) {
       a->state = RequestState::kDecoding;  // Decode starts next engine step.
       // The chunk scratch is dead weight for the whole decode phase; free it
-      // (jobs referencing it were joined above).
+      // (jobs referencing it were joined).
       a->pq = {};
       a->pk = {};
       a->pv = {};
     }
   }
+}
 
+void ServingEngine::PublishStepCounters(const StepState& s) {
   std::lock_guard<std::mutex> lk(mu_);
-  snapshot_.tokens_decoded += step_tokens;
-  snapshot_.tokens_prefilled += step_prefilled;
+  snapshot_.tokens_decoded += s.tokens;
+  snapshot_.tokens_prefilled += s.prefilled;
   ++snapshot_.engine_steps;
+  for (size_t d = 0; d < device_stats_.size(); ++d) {
+    device_stats_[d].tokens_decoded += s.dev_tokens[d];
+    device_stats_[d].tokens_prefilled += s.dev_prefilled[d];
+  }
   // Sampled on every step — prefill-only steps included, so residency grown by
   // UpdateBatch (the prompt suffix landing in session-local KV) is observed
   // even when no session decoded this step.
-  for (size_t d = 0; d < device_stats_.size(); ++d) {
-    device_stats_[d].tokens_decoded += dev_tokens[d];
-    device_stats_[d].tokens_prefilled += dev_prefilled[d];
-  }
   SampleResidencyPeaksLocked();
-  return Status::Ok();
 }
 
 void ServingEngine::SampleResidencyPeaksLocked() {
@@ -1101,11 +1036,12 @@ void ServingEngine::MaybeRebalance() {
 }
 
 void ServingEngine::FinishSession(ActiveSession* active) {
-  if (!active->failed && active->request.store_on_finish) {
+  if (active->result.status.ok() && active->request.store_on_finish) {
     // DB.Store expects ids for every session-local token: the prefilled prompt
     // suffix first (its ids are right there in the request), then the decoded
-    // tail. Cancelled / deadline-exceeded sessions never reach this branch
-    // (they carry failed=true): a partial decode must not publish a context.
+    // tail. Failed, cancelled and deadline-exceeded sessions never reach this
+    // branch (their status is not Ok): a partial decode must not publish a
+    // context.
     const std::vector<int32_t>& prompt = active->request.prompt;
     const size_t suffix_begin = active->result.reused_prefix;
     const size_t suffix_end = suffix_begin + active->result.prefilled_tokens;
@@ -1149,18 +1085,26 @@ void ServingEngine::FinishSession(ActiveSession* active) {
   scheduler_.Release(active->id);
 }
 
-void ServingEngine::RetireFinished() {
+size_t ServingEngine::RetireSessions(const WallTimer* midstep_timer) {
+  size_t retired = 0;
   auto it = active_.begin();
   while (it != active_.end()) {
     ActiveSession* a = it->get();
-    if (a->Terminal()) {
-      a->state = RequestState::kRetiring;
-      FinishSession(a);
-      it = active_.erase(it);
-    } else {
+    if (a->state != RequestState::kRetiring ||
+        (midstep_timer != nullptr && !a->result.status.ok())) {
       ++it;
+      continue;
     }
+    if (midstep_timer != nullptr) {
+      // The driver's post-step attribution loop no longer sees this session;
+      // attribute its partial-step wall time before finalizing.
+      a->result.decode_wall_seconds += midstep_timer->ElapsedSeconds();
+    }
+    FinishSession(a);
+    it = active_.erase(it);
+    ++retired;
   }
+  return retired;
 }
 
 void ServingEngine::DriverLoop() {
@@ -1177,9 +1121,9 @@ void ServingEngine::DriverLoop() {
     // free capacity), then admit — requests submitted while the engine runs
     // enter here, the continuous-batching entry point.
     SweepCancellations();
-    RetireFinished();
+    RetireSessions(nullptr);
     MaybeRebalance();
-    AdmitPending();
+    AdmitInto(nullptr, /*allow_preempt=*/true);
 
     if (active_.empty()) {
       if (scheduler_.queued() == 0) {
@@ -1198,7 +1142,7 @@ void ServingEngine::DriverLoop() {
       // pull its head (Enqueue guarantees it fits). A concurrent Cancel can
       // instead empty the queue — loop around. If neither happened, it's an
       // internal accounting bug — fail loudly, don't spin.
-      AdmitPending();
+      AdmitInto(nullptr, /*allow_preempt=*/true);
       if (active_.empty()) {
         if (scheduler_.queued() == 0) continue;
         status = Status::Internal("queued requests but none admissible on idle system");
@@ -1214,14 +1158,14 @@ void ServingEngine::DriverLoop() {
     if (!status.ok()) break;
     const double step_seconds = step_timer.ElapsedSeconds();
     for (auto& a : active_) {
-      if (a->failed) continue;
+      if (!a->result.status.ok()) continue;
       if (a->was_prefilling) {
         a->result.prefill_wall_seconds += step_seconds;
       } else {
         a->result.decode_wall_seconds += step_seconds;
       }
     }
-    RetireFinished();
+    RetireSessions(nullptr);
   }
 
   // Terminal sweep: an abort (or an engine-level error) fails everything the
@@ -1235,34 +1179,18 @@ void ServingEngine::DriverLoop() {
     final_stop = stop_mode_;
   }
   if (!status.ok() || final_stop == StopMode::kAbort) {
-    const Status reason =
-        status.ok() ? Status::Cancelled("engine aborted") : status;
-    for (auto& a : active_) {
-      if (!a->failed) {
-        a->result.status = reason;
-        a->failed = true;
-      }
-    }
-    RetireFinished();
+    const Status reason = status.ok() ? Status::Cancelled("engine aborted") : status;
+    for (auto& a : active_) Fail(a.get(), reason);
+    RetireSessions(nullptr);
     finalizing_.fetch_add(1);  // Covers the dequeue-to-publication window.
     for (RequestScheduler::Admitted& adm : scheduler_.TakeAllQueued()) {
-      if (adm.resume) {
-        FinalizeSuspended(adm.id,
-                          status.ok() ? Status::Cancelled("engine aborted while suspended")
-                                      : status);
-      } else {
-        FinalizeUnadmitted(std::move(adm),
-                           status.ok() ? Status::Cancelled("engine aborted before admission")
-                                       : status);
-      }
+      FinalizeDequeued(std::move(adm), reason);
     }
     // Belt and braces: every suspended request has a resume entry (the
     // invariant), so the loop above drained suspended_ — but a request whose
     // entry was lost must still reach a terminal state.
     while (!suspended_.empty()) {
-      FinalizeSuspended(suspended_.begin()->first,
-                        status.ok() ? Status::Cancelled("engine aborted while suspended")
-                                    : status);
+      FinalizeSuspended(suspended_.begin()->first, reason);
     }
     finalizing_.fetch_sub(1);
   }

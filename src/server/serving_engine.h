@@ -23,14 +23,15 @@
 //      session retires mid-decode with a typed kCancelled/kDeadlineExceeded
 //      status, releasing its scheduler reservation and context pin and
 //      skipping its store_on_finish;
-//   2. the RequestScheduler admits queued requests under the GPU memory
-//      budget (prefilled prompt suffix + projected window + decoded-tail
-//      footprint) and optional TPOT SLO; each admitted request becomes a
-//      Session via DB.create_session — concurrent requests over the same
-//      document share the stored context and its indices (prefix reuse,
-//      §7.1); a prompt extending past every stored context enters the
-//      Prefilling state (per-step chunks through Session::UpdateBatch,
-//      batched across sessions, overlapped with the decode layer loop);
+//   2. the RequestScheduler sweeps queued requests whose deadline passed and
+//      admits the rest under the GPU memory budget (prefilled prompt suffix
+//      + projected window + decoded-tail footprint) and optional TPOT SLO;
+//      each admitted request becomes a Session via DB.create_session —
+//      concurrent requests over the same document share the stored context
+//      and its indices (prefix reuse, §7.1); a prompt extending past every
+//      stored context enters the Prefilling state (per-step chunks through
+//      Session::UpdateBatch, batched across sessions, overlapped with the
+//      decode layer loop);
 //   3. the step's token budget (RequestSchedulerOptions::step_token_budget)
 //      is split: decode is funded first — one token per Decoding session —
 //      and the remainder is dealt to Prefilling sessions FIFO in chunks of
@@ -47,19 +48,21 @@
 //      draws from the step's unspent budget and joins the wave already in
 //      flight instead of waiting for the batch to drain;
 //   5. finished sessions optionally store their context (late
-//      materialization; DB.store_async by default, off the step loop) and
+//      materialization through DB.store_async, off the step loop) and
 //      release their admission reservation, letting the scheduler pull the
 //      next queued request at the next boundary.
 //
 // Request lifecycle: Queued (scheduler backlog) → Prefilling (prompt suffix
 // chunks) → Decoding (lockstep tokens) → Retiring (terminal result published,
 // reservation released). Requests with a fully-covered prompt skip straight
-// to Decoding; cancellation/deadline/errors jump to Retiring from any state.
-// Under preemption a running Prefilling/Decoding session may additionally be
-// Suspended (KV detached and parked host-side, slot yielded to a
-// higher-priority request) and later Resuming (KV reattached, the phase it
-// was suspended in continues from the exact position — zero recompute, so the
-// resumed decode is bit-identical to an uninterrupted one).
+// to Decoding. Retiring is the one terminal state: finishing the last token,
+// an error, cancellation, deadline expiry and abort all enter it, and one
+// retire routine publishes the result. Under preemption a running
+// Prefilling/Decoding session may additionally be Suspended (KV detached and
+// parked host-side, slot yielded to a higher-priority request) and later
+// Resuming (KV reattached, the phase it was suspended in continues from the
+// exact position — zero recompute, so the resumed decode is bit-identical to
+// an uninterrupted one).
 //
 // Determinism: with deterministic fill_step/fill_prompt callbacks, a
 // concurrent schedule produces bit-identical outputs to a sequential one —
@@ -123,7 +126,7 @@ struct ServingEngineOptions {
   /// factor * max(coldest device's reserved bytes, 1). The migration charges
   /// the destination's clock with the modeled window transfer
   /// (AlayaDB::MigrateShard); future prefix hits then place toward the cold
-  /// device via the affinity probe. 0 disables the probe.
+  /// device via the prefix probe's affinity. 0 disables the probe.
   double rebalance_skew_factor = 0;
   /// Host-pressure spill for suspended KV: when > 0 and the DB has tiering
   /// enabled, a suspension that would push host usage past this budget
@@ -435,36 +438,35 @@ class ServingEngine {
  private:
   friend class RequestHandle;
 
-  /// Where a request is in its lifecycle. kQueued covers the span between
-  /// admission (queue pop) and session creation; a session then Prefills its
-  /// uncovered prompt suffix — one budgeted chunk per step — until prefill_pos
-  /// reaches the prompt end, Decodes one lockstep token per step, and turns
-  /// kRetiring once terminal (finished, failed, cancelled or expired) until
-  /// RetireFinished publishes its result and releases its reservation. A
-  /// session is never in two states at once: the budget split (PlanStep)
-  /// relies on Prefilling and Decoding being disjoint sets.
+  /// Where an admitted request is in its lifecycle. A session Prefills its
+  /// uncovered prompt suffix — one budgeted chunk per step — until
+  /// prefill_pos reaches the prompt end, then Decodes one lockstep token per
+  /// step while tokens remain. kRetiring is the single terminal state: the
+  /// last token, Fail() (errors, cancellation, deadline expiry, abort) and
+  /// nothing else enter it, and RetireSessions publishes the result and
+  /// releases the reservation. A session is never in two states at once: the
+  /// budget split (PlanStep) relies on Prefilling and Decoding being disjoint
+  /// sets.
   ///
   /// kSuspended is the preemption parking state: the session's KV is detached
   /// host-side, its slot released, and the request waits in suspended_ (keyed
   /// by id) with a resume entry queued at the scheduler. Resume rebuilds the
   /// session and re-enters the phase (kPrefilling/kDecoding) it left at the
   /// exact position it left it.
-  enum class RequestState { kQueued, kPrefilling, kDecoding, kSuspended, kRetiring };
+  enum class RequestState { kPrefilling, kDecoding, kSuspended, kRetiring };
 
   struct ActiveSession {
     uint64_t id = 0;
     int device = 0;  ///< Fleet device the scheduler placed this session on.
-    /// Gang members when the admission spanned devices (gang[0] == device;
-    /// size <= 1 = ordinary single-device placement).
-    std::vector<int> gang;
     ServingRequest request;
     std::unique_ptr<Session> session;
     std::shared_ptr<Context> context_ref;  ///< Pins the reused context.
     std::shared_ptr<RequestTicket> ticket;  ///< May lag Submit; fetched lazily.
     std::chrono::steady_clock::time_point submit_time;
     std::chrono::steady_clock::time_point deadline;  ///< time_point::max() = none.
+    /// status stays Ok until the first failure (see Fail).
     RequestResult result;
-    RequestState state = RequestState::kQueued;
+    RequestState state = RequestState::kPrefilling;  ///< Set at admission.
     size_t prefill_pos = 0;  ///< Next prompt token to prefill (absolute).
     size_t step = 0;
     bool was_prefilling = false;  ///< State at the start of the current step.
@@ -493,17 +495,25 @@ class ServingEngine {
     /// the bytes live behind disk_kv_reservation until resume restores them).
     bool suspended_on_disk = false;
     MemoryReservation disk_kv_reservation;
-    bool failed = false;
-
-    bool Terminal() const {
-      return failed || (state == RequestState::kDecoding && step >= request.max_new_tokens);
-    }
   };
+
+  /// One engine step's working set, threaded through the step phases.
+  struct StepState;
 
   enum class StopMode { kNone, kDrain, kAbort };
 
   void DriverLoop();
+  /// Step boundary: fails running sessions that were cancelled or expired,
+  /// and finalizes suspended ones (winning their resume entry first).
+  /// Expired queued requests are swept by the next Admit round.
   void SweepCancellations();
+  /// The one cancel-then-deadline check: Ok while the request may keep
+  /// running, else the typed kCancelled/kDeadlineExceeded status (`where`
+  /// completes its message). Fetches a lagging ticket.
+  Status CheckLive(ActiveSession* a, std::chrono::steady_clock::time_point now,
+                   const char* where);
+  /// Moves `a` to kRetiring with `status`; the first failure status wins.
+  static void Fail(ActiveSession* a, Status status);
   /// Pops every currently admissible request from the scheduler, builds its
   /// session (or resumes a suspended one), and appends it to active_. With
   /// `newly` set, collects raw pointers to the sessions actually added (the
@@ -513,19 +523,26 @@ class ServingEngine {
   /// step-boundary only; the mid-step path passes false. Returns the number
   /// added.
   size_t AdmitInto(std::vector<ActiveSession*>* newly, bool allow_preempt);
-  void AdmitPending();
+  /// Binds a freshly built session to its placement — device, and the gang
+  /// when the admission spanned devices (before any KV lands: a session only
+  /// accepts a gang while it holds zero local KV) — and records the device,
+  /// cross-device reuse and gang counters. Serves admissions and resumes.
+  /// Returns the gang bind's status.
+  Status BindPlacement(ActiveSession* a, const RequestScheduler::Admitted& adm,
+                       uint64_t cross_device_transfer_bytes);
   /// Suspends one running session by id (driver thread only): detaches its
   /// KV + decode state, parks the bytes host-side (modeled device→host
   /// offload charged to its device clock), drops the context pin (the tier
   /// layer may spill the context while the request waits), requeues a resume
   /// entry and releases the slot. False when the id is not an active,
-  /// healthy, non-terminal session (nothing was freed).
+  /// non-terminal session (nothing was freed).
   bool SuspendVictim(uint64_t id);
   /// Re-admission of a suspended request: rebuilds the session over the same
   /// context/prefix (AlayaDB::ResumeSession — page-in if spilled), reattaches
   /// the parked KV (modeled host→device upload charged to the new device),
   /// and re-enters the exact phase/position it left. Terminal-while-suspended
-  /// (cancel/deadline) finalizes instead. Appends to active_ and `newly`.
+  /// (cancel/deadline) or a failed rebuild finalizes through
+  /// FinalizeSuspended instead. Appends to active_ and `newly`.
   void ResumeSuspended(RequestScheduler::Admitted&& adm,
                        std::vector<ActiveSession*>* newly);
   /// Host-pressure spill (suspend_spill_host_budget_bytes): persists a
@@ -541,45 +558,76 @@ class ServingEngine {
   /// warm, unpinned context off the hottest device when reserved-byte skew
   /// crosses the threshold.
   void MaybeRebalance();
-  /// Finalizes a request parked in suspended_ (cancel/deadline/abort while
-  /// suspended): publishes the terminal result and frees the parked KV. The
-  /// caller must already own the queue entry (RemoveQueued include_resume /
-  /// TakeExpired / TakeAllQueued) — the id holds no scheduler reservation.
-  void FinalizeSuspended(uint64_t id, Status status);
-  /// Mid-step admission: admits queued requests while a step is in flight
-  /// (between decode layers / during a prefill-only wave). Newly admitted
-  /// Prefilling sessions draw a first chunk from the step's unspent budget
-  /// and launch it into `wave`; sessions granted a chunk are appended to
-  /// `chunked` so the end-of-step accounting covers them. Returns the number
-  /// admitted.
-  size_t MidStepAdmit(PrefillWave* wave, size_t* budget_left,
-                      std::vector<ActiveSession*>* chunked);
-  /// Launches one prefill chunk of `count` tokens into `wave`, recording the
-  /// grant in a->chunk_granted (accounting) and pointing the job's status at
-  /// a->chunk_status.
-  void LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wave);
+
+  // --- One engine step, as named phases (StepActiveSessions runs them) ---
+
   /// `step_timer` is the driver's wall timer for this step: sessions retired
   /// mid-step get their partial-step wall time attributed from it (the
   /// driver's post-step attribution loop no longer sees them).
   Status StepActiveSessions(const WallTimer& step_timer);
+  /// Splits the active set into decoding and prefilling sessions, plans the
+  /// step's token budget (PlanStep) and launches the prefill chunks into the
+  /// wave. False when no session has work this step.
+  bool BeginStep(StepState* s);
+  /// One decode layer over the step's decoding sessions: Update fan-out,
+  /// one batch of (session, q_head) attention jobs, then per-session
+  /// accounting — and, after the last layer, token emission. A session's
+  /// failure fails only that session; the returned error is engine-level.
+  Status DecodeLayer(StepState* s, uint32_t layer);
+  /// Mid-step admission: admits queued requests while a step is in flight
+  /// (between decode layers / during the wave join). Newly admitted
+  /// Prefilling sessions draw a first chunk from the step's unspent budget
+  /// and launch it into the wave; sessions granted a chunk join `chunked` so
+  /// the fold covers them.
+  void MidStepAdmit(StepState* s);
+  /// Launches one prefill chunk of `count` tokens into `wave`, recording the
+  /// grant in a->chunk_granted (accounting) and pointing the job's status at
+  /// a->chunk_status.
+  void LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wave);
+  /// Retires the sessions whose last token just decoded, freeing their slots
+  /// for the wave-tail admission polls (midstep_admission only).
+  void RetireMidStep(const WallTimer& step_timer);
+  /// Joins the prefill wave, polling mid-step admissions while it drains.
+  void JoinWave(StepState* s);
+  /// Folds joined prefill chunks: chunk failures, modeled prefill cost,
+  /// prefill progress and the Prefilling → Decoding transition.
+  void FoldPrefillChunks(StepState* s);
+  /// Publishes the step's token counters and residency peaks.
+  void PublishStepCounters(const StepState& s);
   /// Folds the fleet's current residency into the per-device and fleet
   /// peak_gpu_bytes high-water marks. Caller holds mu_. Called at the end of
   /// every step, and additionally just before mid-step retirement frees a
   /// retiring session's KV (the step's true footprint would otherwise be
   /// missed by the end-of-step sample).
   void SampleResidencyPeaksLocked();
-  void RetireFinished();
+
+  // --- Exit paths ---
+
+  /// Retires kRetiring sessions from active_ through FinishSession. At a
+  /// step boundary (`midstep_timer` null) every kRetiring session retires;
+  /// mid-step only those that finished cleanly, each credited the step's
+  /// wall time so far. Returns the number retired.
+  size_t RetireSessions(const WallTimer* midstep_timer);
+  /// Stores (store_on_finish, clean finish only), publishes the result and
+  /// releases the reservation of one retiring session.
   void FinishSession(ActiveSession* active);
   /// Publishes a terminal result and wakes its handle's waiters.
   void FinalizeResult(uint64_t id, RequestResult&& result);
-  /// Finalizes a request that never got a session (cancel/deadline/abort
-  /// while queued, or at the admission boundary).
-  void FinalizeUnadmitted(RequestScheduler::Admitted&& adm, Status status);
+  /// Finalizes a request the caller removed from the scheduler queue
+  /// (cancel, expiry, never-fits, abort). It holds no reservation; a resume
+  /// entry routes to its parked state (FinalizeSuspended). Resume entries
+  /// reach here only on the driver thread, which owns suspended_.
+  void FinalizeDequeued(RequestScheduler::Admitted&& adm, Status status);
+  /// Finalizes a request parked in suspended_: publishes the terminal result
+  /// and frees the parked KV. The caller must already own the queue entry
+  /// (or, on resume, the admission) — a parked id holds no reservation.
+  void FinalizeSuspended(uint64_t id, Status status);
   bool CancelRequest(const std::shared_ptr<RequestTicket>& ticket);
   std::shared_ptr<RequestTicket> FindTicket(uint64_t id);
-  /// Drains materializations, reconciles store failures into results, and
-  /// folds the run's wall time into the snapshot. Runs on the driver thread
-  /// as its last act.
+  /// Drains materializations (store failures land in the snapshot counters
+  /// and db.materialization_errors(); published results are never amended)
+  /// and folds the run's wall time into the snapshot. Runs on the driver
+  /// thread as its last act.
   void FinalizeRun();
   /// Joins a driver that has reached kStopped. Caller holds life_mu_.
   Status JoinStoppedDriverLocked();
@@ -619,7 +667,7 @@ class ServingEngine {
   /// FinalizeResult: WaitIdle's predicate requires it to be zero, so the
   /// idle observation implies every finished request's result is visible
   /// (the admitted path gets the same guarantee from finalize-before-Release
-  /// ordering in FinishSession/AdmitPending).
+  /// ordering in FinishSession).
   std::atomic<size_t> finalizing_{0};
   mutable std::mutex mu_;
   /// Terminal results, shared with their tickets (which own them for the

@@ -161,7 +161,7 @@ TEST(PlacementSchedulerTest, AdmitAssignsDevicesAndTracksPerDeviceLoad) {
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());  // No room: waits.
 
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 2u);
   EXPECT_EQ(admitted[0].device, 0);
   EXPECT_EQ(admitted[1].device, 1);
@@ -178,7 +178,7 @@ TEST(PlacementSchedulerTest, AdmitAssignsDevicesAndTracksPerDeviceLoad) {
 
   // Releasing device 0's session admits the waiter — onto device 0.
   sched.Release(admitted[0].id);
-  auto next = sched.Admit();
+  auto next = sched.Admit().admitted;
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].device, 0);
 }
@@ -201,7 +201,7 @@ TEST(PlacementSchedulerTest, HotDeviceDoesNotThrottleIdleOnes) {
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());  // Both hot: waits.
 
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 2u);
   EXPECT_EQ(admitted[0].device, 0);
   EXPECT_EQ(admitted[1].device, 1);
@@ -233,7 +233,7 @@ TEST(PlacementSchedulerTest, AffinityProbeRoutesToWarmDevice) {
   };
   RequestScheduler sched = fx.Make(options, 3);
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].device, 2);
 }
@@ -246,7 +246,7 @@ TEST(PlacementSchedulerTest, UnlimitedBudgetSpreadsColdRequests) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(sched.Enqueue(fx.MakeServing(100, 4)).ok());
   }
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 3u);
   // No budgets, no affinity: best-fit's spread tie-break alternates devices
   // instead of piling everything onto device 0.
@@ -279,13 +279,13 @@ TEST(PlacementSchedulerTest, NeverFitsHeadIsRemovedNotStuck) {
 
   // Neither admits, but neither wedges the queue either: both are removed
   // and surfaced for the caller to fail with a typed kNeverFits result.
-  EXPECT_TRUE(sched.Admit().empty());
+  const RequestScheduler::AdmitRound round = sched.Admit();
+  EXPECT_TRUE(round.admitted.empty());
   EXPECT_EQ(sched.queued(), 0u);
-  auto rejected = sched.TakeNeverFits();
-  ASSERT_EQ(rejected.size(), 2u);
-  EXPECT_EQ(rejected[0].id, a.value());
-  EXPECT_EQ(rejected[1].id, b.value());
-  EXPECT_TRUE(sched.TakeNeverFits().empty());  // Drained.
+  ASSERT_EQ(round.never_fits.size(), 2u);
+  EXPECT_EQ(round.never_fits[0].id, a.value());
+  EXPECT_EQ(round.never_fits[1].id, b.value());
+  EXPECT_TRUE(sched.Admit().never_fits.empty());  // Reported exactly once.
 }
 
 TEST(PlacementSchedulerTest, SingleDeviceDefaultsMatchLegacyBehavior) {
@@ -294,7 +294,7 @@ TEST(PlacementSchedulerTest, SingleDeviceDefaultsMatchLegacyBehavior) {
   SchedulerFixture fx;
   RequestScheduler sched = fx.Make({});
   ASSERT_TRUE(sched.Enqueue(fx.MakeServing(50, 2)).ok());
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].device, 0);
   const std::vector<DeviceLoad> loads = sched.DeviceLoads();

@@ -5,6 +5,7 @@
 #include "src/server/request_scheduler.h"
 
 #include <algorithm>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -104,7 +105,7 @@ TEST(RequestSchedulerTest, PrefixProbeDrivesEnqueueEstimate) {
   RequestScheduler sched = fx.Make(options);
   auto id = sched.Enqueue(fx.MakeRequest(100, 2));
   ASSERT_TRUE(id.ok());
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].estimate.prefill_tokens, 50u);
 }
@@ -171,7 +172,7 @@ TEST(RequestSchedulerTest, PrefillTimeBlocksCoAdmissionUnderTpotSlo) {
   // First round: the decode request is admitted; the prefill-heavy one would
   // blow the per-step budget while it prefills, so it queues (and, FIFO, so
   // does everything behind it).
-  auto first = sched.Admit();
+  auto first = sched.Admit().admitted;
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].estimate.prefill_tokens, 0u);
   EXPECT_EQ(sched.queued(), 2u);
@@ -180,13 +181,13 @@ TEST(RequestSchedulerTest, PrefillTimeBlocksCoAdmissionUnderTpotSlo) {
   // its own: its projected chunk time exceeds what the SLO leaves for a
   // companion, so the trailing decode request keeps waiting.
   sched.Release(first[0].id);
-  auto second = sched.Admit();
+  auto second = sched.Admit().admitted;
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].id, heavy_id.value());
   EXPECT_EQ(sched.queued(), 1u);
 
   sched.Release(second[0].id);
-  EXPECT_EQ(sched.Admit().size(), 1u);
+  EXPECT_EQ(sched.Admit().admitted.size(), 1u);
   EXPECT_EQ(sched.queued(), 0u);
 }
 
@@ -204,7 +205,7 @@ TEST(RequestSchedulerTest, UpdateReservationReanchorsToActualMatch) {
 
   auto id = sched.Enqueue(fx.MakeRequest(200, 4));
   ASSERT_TRUE(id.ok());
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 1u);
   const AdmissionEstimate promised = admitted[0].estimate;
   EXPECT_EQ(promised.prefill_tokens, 0u);
@@ -246,9 +247,13 @@ TEST(RequestSchedulerTest, DeadlineHandlesZeroAndAstronomicalBudgets) {
   huge.deadline_seconds = 1e12;
   ASSERT_TRUE(sched.Enqueue(std::move(huge)).ok());
 
-  // The default policy admits the finite-deadline request first (EDF within
-  // the class); restore arrival order so the indices below stay meaningful.
-  auto admitted = sched.Admit();
+  // Nothing expires at the enqueue horizon: the admission round's expiry
+  // sweep agrees. The default policy admits the finite-deadline request
+  // first (EDF within the class); restore arrival order so the indices below
+  // stay meaningful.
+  RequestScheduler::AdmitRound round = sched.Admit();
+  EXPECT_TRUE(round.expired.empty());
+  auto admitted = std::move(round.admitted);
   std::sort(admitted.begin(), admitted.end(),
             [](const auto& a, const auto& b) { return a.id < b.id; });
   ASSERT_EQ(admitted.size(), 3u);
@@ -256,8 +261,81 @@ TEST(RequestSchedulerTest, DeadlineHandlesZeroAndAstronomicalBudgets) {
   EXPECT_LT(admitted[1].Deadline(), far_future);  // Real, finite.
   EXPECT_GT(admitted[1].Deadline(), std::chrono::steady_clock::now());
   EXPECT_GT(admitted[2].Deadline(), far_future);  // Clamped, never expired.
-  // Nothing expires at enqueue horizon: the queue-side sweep agrees.
-  EXPECT_TRUE(sched.RemoveQueuedExpired(std::chrono::steady_clock::now()).empty());
+}
+
+TEST(RequestSchedulerTest, ExpiredBehindBlockedHeadIsSwept) {
+  SchedulerFixture fx;
+  RequestSchedulerOptions options;
+  options.max_concurrent_sessions = 1;
+  RequestScheduler sched = fx.Make(options);
+  ASSERT_TRUE(sched.Enqueue(fx.MakeRequest(10, 2)).ok());  // Takes the slot.
+  ASSERT_TRUE(sched.Enqueue(fx.MakeRequest(10, 2)).ok());  // Slot-blocked head.
+  // A lower class the policy never picks while the head waits: only the
+  // round-wide expiry sweep can reach it.
+  ServingRequest doomed = fx.MakeRequest(10, 2);
+  doomed.priority = -1;
+  doomed.deadline_seconds = 1e-6;
+  auto doomed_id = sched.Enqueue(std::move(doomed));
+  ASSERT_TRUE(doomed_id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  const RequestScheduler::AdmitRound first = sched.Admit();
+  ASSERT_EQ(first.admitted.size(), 1u);
+  ASSERT_EQ(first.expired.size(), 1u);
+  EXPECT_EQ(first.expired[0].id, doomed_id.value());
+  EXPECT_EQ(sched.queued(), 1u);  // Only the blocked head remains.
+
+  const RequestScheduler::AdmitRound second = sched.Admit();
+  EXPECT_TRUE(second.admitted.empty());
+  EXPECT_TRUE(second.expired.empty());  // Reported exactly once.
+  EXPECT_EQ(sched.queued(), 1u);
+}
+
+// --- Deficit round-robin: a tenant whose queue drains forfeits its banked
+// --- credit, whichever way its last entry leaves the queue.
+
+/// Two tenants contend for one slot: tenant 1's cheap request admits, tenant
+/// 2's costlier request stays queued holding the top-up credit it earned.
+/// Returns tenant 2's queued request id.
+uint64_t QueueTenantWithDeficit(RequestScheduler* sched, double deadline_seconds) {
+  ServingRequest cheap = SchedulerFixture::MakeRequest(10, 2);
+  cheap.tenant_id = 1;
+  ServingRequest costly = SchedulerFixture::MakeRequest(200, 8);
+  costly.tenant_id = 2;
+  costly.deadline_seconds = deadline_seconds;
+  EXPECT_TRUE(sched->Enqueue(std::move(cheap)).ok());
+  auto id = sched->Enqueue(std::move(costly));
+  EXPECT_TRUE(id.ok());
+  EXPECT_EQ(sched->Admit().admitted.size(), 1u);
+  EXPECT_EQ(sched->queued(), 1u);
+  EXPECT_GT(sched->TenantLedgerSnapshot().at(2).deficit_seconds, 0.0);
+  return id.value();
+}
+
+TEST(RequestSchedulerTest, RemoveQueuedResetsDrainedTenantDeficit) {
+  SchedulerFixture fx;
+  RequestSchedulerOptions options;
+  options.max_concurrent_sessions = 1;
+  RequestScheduler sched = fx.Make(options);
+  const uint64_t queued_id = QueueTenantWithDeficit(&sched, /*deadline_seconds=*/0);
+
+  ASSERT_TRUE(sched.RemoveQueued(queued_id).has_value());  // Cancelled.
+  EXPECT_EQ(sched.TenantLedgerSnapshot().at(2).deficit_seconds, 0.0);
+}
+
+TEST(RequestSchedulerTest, ExpirySweepResetsDrainedTenantDeficit) {
+  SchedulerFixture fx;
+  RequestSchedulerOptions options;
+  options.max_concurrent_sessions = 1;
+  RequestScheduler sched = fx.Make(options);
+  // Long enough to survive the first round, short enough to expire before
+  // the next one.
+  QueueTenantWithDeficit(&sched, /*deadline_seconds=*/0.2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+
+  EXPECT_EQ(sched.Admit().expired.size(), 1u);
+  EXPECT_EQ(sched.queued(), 0u);
+  EXPECT_EQ(sched.TenantLedgerSnapshot().at(2).deficit_seconds, 0.0);
 }
 
 TEST(RequestSchedulerTest, ReleaseRestoresPrefillAwareReservation) {
@@ -270,7 +348,7 @@ TEST(RequestSchedulerTest, ReleaseRestoresPrefillAwareReservation) {
   auto b = sched.Enqueue(fx.MakeRequest(40, 3));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto admitted = sched.Admit();
+  auto admitted = sched.Admit().admitted;
   ASSERT_EQ(admitted.size(), 2u);
 
   const double expected_seconds = admitted[0].estimate.EffectiveStepSeconds() +

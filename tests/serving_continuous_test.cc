@@ -279,9 +279,18 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
       EXPECT_EQ(r->prefilled_tokens, golden[i].prefilled_tokens) << "request " << i;
       ASSERT_EQ(r->outputs.size(), golden[i].outputs.size()) << "request " << i;
       EXPECT_EQ(r->outputs, golden[i].outputs) << "request " << i;
+      // Wall-time attribution survives either retire path: the boundary
+      // loop and the mid-step retirement both credit the decode phase.
+      EXPECT_GT(r->decode_wall_seconds, 0.0) << "request " << i;
+      if (r->prefilled_tokens > 0) {
+        EXPECT_GT(r->prefill_wall_seconds, 0.0) << "request " << i;
+      }
     }
     ASSERT_TRUE(engine.Shutdown().ok());
     const ServingSnapshot snap = engine.snapshot();
+    // Every session's last token decodes in a step that retires it mid-step
+    // when midstep admission is on; the baseline retires only at boundaries.
+    EXPECT_EQ(snap.midstep_retirements, s.midstep ? reqs.size() : 0u);
     if (s.midstep) {
       // The burst was queued while the head's wave was parked and the driver
       // polls admission between wave checks, so at least one request MUST

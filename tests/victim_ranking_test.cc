@@ -124,7 +124,7 @@ TEST(VictimRankingTest, RecordedProgressChangesAdvisedVictim) {
     auto a = sched.Enqueue(make_request());
     auto b = sched.Enqueue(make_request());
     EXPECT_TRUE(a.ok() && b.ok());
-    const std::vector<RequestScheduler::Admitted> admitted = sched.Admit();
+    const std::vector<RequestScheduler::Admitted> admitted = sched.Admit().admitted;
     EXPECT_EQ(admitted.size(), 2u);
     if (progress_on_second) {
       // Half of the second request's modeled work is done: its remaining
@@ -136,10 +136,10 @@ TEST(VictimRankingTest, RecordedProgressChangesAdvisedVictim) {
     ServingRequest high = make_request();
     high.priority = 1;
     EXPECT_TRUE(sched.Enqueue(std::move(high)).ok());
-    std::vector<uint64_t> victims;
-    const auto blocked = sched.Admit(&victims);  // Slots full: must advise.
-    EXPECT_TRUE(blocked.empty());
-    return victims;
+    // Slots full: must advise.
+    RequestScheduler::AdmitRound blocked = sched.Admit(/*advise_preemption=*/true);
+    EXPECT_TRUE(blocked.admitted.empty());
+    return blocked.victims;
   };
 
   // Baseline: identical victims tie on score; the newest admission (the
