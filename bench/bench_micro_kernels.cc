@@ -36,7 +36,7 @@ void BM_Dot(benchmark::State& state) {
   rng.FillGaussian(a.data(), d);
   rng.FillGaussian(b.data(), d);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Dot(a.data(), b.data(), d));
+    benchmark::DoNotOptimize(Kernels().dot(a.data(), b.data(), d));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -108,7 +108,7 @@ void BM_MatVecDotFp32(benchmark::State& state) {
   std::vector<float> q(d), out(n);
   rng.FillGaussian(q.data(), d);
   for (auto _ : state) {
-    MatVecDot(rows.View().data, n, d, q.data(), out.data());
+    Kernels().matvec(rows.View().data, n, d, q.data(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

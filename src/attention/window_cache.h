@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/vec_math.h"
+#include "src/common/vector_codec.h"
 #include "src/device/memory_tracker.h"
 #include "src/index/vector_set.h"
 
@@ -57,16 +57,17 @@ class WindowCache {
   /// Max inner product of q against the window keys — the window-enhanced
   /// DIPRS prior (§7.1). Returns -inf on an empty window.
   float MaxWindowInnerProduct(const float* q, VectorSetView keys, size_t n) const {
+    const KernelOps& ops = Kernels();
     float best = -1e30f;
     const uint32_t init_end =
         static_cast<uint32_t>(std::min<size_t>(n, config_.initial_tokens));
     for (uint32_t i = 0; i < init_end; ++i) {
-      best = std::max(best, Dot(q, keys.Vec(i), keys.d));
+      best = std::max(best, ops.dot(q, keys.Vec(i), keys.d));
     }
     const uint32_t recent_begin = static_cast<uint32_t>(
         n > config_.recent_tokens ? n - config_.recent_tokens : 0);
     for (uint32_t i = std::max(recent_begin, init_end); i < n; ++i) {
-      best = std::max(best, Dot(q, keys.Vec(i), keys.d));
+      best = std::max(best, ops.dot(q, keys.Vec(i), keys.d));
     }
     return best;
   }

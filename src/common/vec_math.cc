@@ -8,34 +8,18 @@
 
 namespace alaya {
 
-// The BLAS-1 style primitives dispatch through the kernel table resolved at
-// startup (see vector_codec.h). The scalar table preserves the historical
-// loops bit-for-bit; wider levels agree to accumulation-order rounding.
-
-float Dot(const float* a, const float* b, size_t d) { return Kernels().dot(a, b, d); }
-
-float L2Sq(const float* a, const float* b, size_t d) {
-  return Kernels().l2sq(a, b, d);
-}
-
-float Norm(const float* a, size_t d) { return std::sqrt(Dot(a, a, d)); }
-
-void Scale(float* a, size_t d, float s) { Kernels().scale(a, d, s); }
-
-void Axpy(float* y, const float* x, size_t d, float alpha) {
-  Kernels().axpy(y, x, d, alpha);
-}
+float Norm(const float* a, size_t d) { return std::sqrt(Kernels().dot(a, a, d)); }
 
 void NormalizeInPlace(float* a, size_t d) {
   const float n = Norm(a, d);
-  if (n > 0.f) Scale(a, d, 1.0f / n);
+  if (n > 0.f) Kernels().scale(a, d, 1.0f / n);
 }
 
 float CosineSim(const float* a, const float* b, size_t d) {
   const float na = Norm(a, d);
   const float nb = Norm(b, d);
   if (na == 0.f || nb == 0.f) return 0.f;
-  return Dot(a, b, d) / (na * nb);
+  return Kernels().dot(a, b, d) / (na * nb);
 }
 
 void SoftmaxInPlace(float* scores, size_t n) {
@@ -75,10 +59,6 @@ float RelativeError(const float* a, const float* b, size_t d, float eps) {
     den += b[i] * b[i];
   }
   return std::sqrt(num) / std::max(std::sqrt(den), eps);
-}
-
-void MatVecDot(const float* m, size_t rows, size_t d, const float* v, float* out) {
-  Kernels().matvec(m, rows, d, v, out);
 }
 
 void SortByScoreDesc(std::vector<ScoredId>* v) {

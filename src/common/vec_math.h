@@ -1,16 +1,7 @@
-// Dense float vector kernels used throughout attention computation and
-// vector search. The BLAS-1 style primitives (Dot, L2Sq, Axpy, Scale,
-// MatVecDot) are thin wrappers over the runtime-dispatched kernel table in
-// vector_codec.h — AVX2/NEON when the CPU has them, a scalar fallback that is
-// bit-exact with the historical loops otherwise. Hot loops that score many
-// vectors can grab `Kernels()` once and call through the table directly.
-//
-// Contract (shared with every table kernel):
-//   - d == 0 is valid: reductions return 0, in-place ops write nothing;
-//   - no alignment requirement beyond natural element alignment;
-//   - input spans must not alias outputs (Axpy's y and x must be distinct);
-//   - results across dispatch levels agree to accumulation-order rounding,
-//     not bit-exactly — replay-stable comparisons must stay in-process.
+// Dense float vector helpers used throughout attention computation and
+// vector search. The BLAS-1 primitives themselves (dot, l2sq, axpy, scale,
+// matvec) live in the runtime-dispatched kernel table: call them through
+// `Kernels()` (src/common/vector_codec.h).
 #pragma once
 
 #include <cstddef>
@@ -19,20 +10,8 @@
 
 namespace alaya {
 
-/// Inner product <a, b> over d floats.
-float Dot(const float* a, const float* b, size_t d);
-
-/// Squared Euclidean distance ||a - b||^2.
-float L2Sq(const float* a, const float* b, size_t d);
-
 /// Euclidean norm ||a||.
 float Norm(const float* a, size_t d);
-
-/// In-place scale: a *= s.
-void Scale(float* a, size_t d, float s);
-
-/// y += alpha * x.
-void Axpy(float* y, const float* x, size_t d, float alpha);
 
 /// Normalizes a to unit length in place (no-op on the zero vector).
 void NormalizeInPlace(float* a, size_t d);
@@ -55,9 +34,6 @@ float MaxValue(const float* a, size_t n);
 
 /// Relative L2 error ||a - b|| / max(||b||, eps).
 float RelativeError(const float* a, const float* b, size_t d, float eps = 1e-12f);
-
-/// Row-major matrix-vector products: out[i] = <m[i, :], v> for i in [0, rows).
-void MatVecDot(const float* m, size_t rows, size_t d, const float* v, float* out);
 
 /// A trivially-copyable (id, score) pair used in search results everywhere.
 struct ScoredId {

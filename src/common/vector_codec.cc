@@ -26,19 +26,6 @@ const char* VectorCodecName(VectorCodec c) {
   return "unknown";
 }
 
-bool ParseVectorCodec(const std::string& name, VectorCodec* out) {
-  if (name == "fp32") {
-    *out = VectorCodec::kFp32;
-  } else if (name == "fp16") {
-    *out = VectorCodec::kFp16;
-  } else if (name == "int8") {
-    *out = VectorCodec::kInt8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 size_t CodecBytesPerScalar(VectorCodec c) {
   switch (c) {
     case VectorCodec::kFp16:

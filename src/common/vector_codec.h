@@ -17,22 +17,10 @@
 //      *without decoding* (int8 uses the identity
 //      dot(q, dec(c)) = scale * (Σ q_i·c_i − zp·Σ q_i), with Σ q_i prepared
 //      once per query).
-//
-// Contract for every kernel in the table (and the vec_math.h wrappers over
-// them):
-//   - d == 0 is valid and returns 0 / writes nothing;
-//   - no alignment requirement beyond the element type's natural alignment
-//     (loads are unaligned; callers may pass arbitrary row pointers);
-//   - input spans must not alias the output (Axpy's y/x must be distinct);
-//   - results across dispatch levels agree to accumulation-order rounding
-//     (a few ULP for unit-scale data), NOT bit-exactly: reductions sum in
-//     lane-major order. Code that needs replay-stable numbers must compare
-//     runs from the same process, where the level is fixed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/vec_math.h"
@@ -44,8 +32,6 @@ namespace alaya {
 enum class VectorCodec : uint8_t { kFp32 = 0, kFp16 = 1, kInt8 = 2 };
 
 const char* VectorCodecName(VectorCodec c);
-/// Parses "fp32"/"fp16"/"int8" (bench flags). Returns false on anything else.
-bool ParseVectorCodec(const std::string& name, VectorCodec* out);
 /// Bytes one encoded scalar occupies: 4 / 2 / 1.
 size_t CodecBytesPerScalar(VectorCodec c);
 
@@ -77,10 +63,21 @@ struct QuantOptions {
 
 // --- Kernel dispatch table -------------------------------------------------
 
-/// Function-pointer table of the hot-path primitives. `Kernels()` returns the
-/// best table the running CPU supports; `ScalarKernels()` always returns the
-/// portable reference implementations (bit-exact with the historical
-/// vec_math.cc loops — the goldens quantization tests diff SIMD against).
+/// Function-pointer table of the hot-path primitives — the one call surface
+/// for them. `Kernels()` returns the best table the running CPU supports;
+/// `ScalarKernels()` always returns the portable reference implementations
+/// (bit-exact with the historical vec_math.cc loops — the goldens
+/// quantization tests diff SIMD against). Hot loops grab the table once.
+///
+/// Contract for every kernel in the table:
+///   - d == 0 is valid and returns 0 / writes nothing;
+///   - no alignment requirement beyond the element type's natural alignment
+///     (loads are unaligned; callers may pass arbitrary row pointers);
+///   - input spans must not alias the output (axpy's y/x must be distinct);
+///   - results across dispatch levels agree to accumulation-order rounding
+///     (a few ULP for unit-scale data), NOT bit-exactly: reductions sum in
+///     lane-major order. Code that needs replay-stable numbers must compare
+///     runs from the same process, where the level is fixed.
 struct KernelOps {
   float (*dot)(const float* a, const float* b, size_t d);
   float (*l2sq)(const float* a, const float* b, size_t d);

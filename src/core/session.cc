@@ -5,6 +5,7 @@
 
 #include "src/attention/attention_engine.h"
 #include "src/common/timer.h"
+#include "src/common/vector_codec.h"
 #include "src/index/flat_index.h"
 #include "src/index/graph_search.h"
 #include "src/query/diprs.h"
@@ -258,11 +259,12 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   float prior = -1e30f;
   WallTimer search_timer;
   if (options_.use_window_dipr_hint) {
+    const KernelOps& ops = Kernels();
     for (uint32_t id : ctx_window_ids) {
-      prior = std::max(prior, Dot(qh, ctx_keys.Vec(id), d));
+      prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
     }
     for (uint32_t i = 0; i < n_local; ++i) {
-      prior = std::max(prior, Dot(qh, loc_keys.Vec(i), d));
+      prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
     }
     stats->search.dist_comps += ctx_window_ids.size() + n_local;
   }

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/bounded_heap.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 
@@ -34,9 +35,9 @@ void CoarseIndex::Build() {
         const size_t lo = blk * b;
         const size_t hi = std::min(keys_.n, lo + b);
         for (size_t i = lo; i < hi; ++i) {
-          Axpy(rep, keys_.Vec(static_cast<uint32_t>(i)), d, 1.0f);
+          Kernels().axpy(rep, keys_.Vec(static_cast<uint32_t>(i)), d, 1.0f);
         }
-        if (hi > lo) Scale(rep, d, 1.0f / static_cast<float>(hi - lo));
+        if (hi > lo) Kernels().scale(rep, d, 1.0f / static_cast<float>(hi - lo));
       }
       break;
     }
@@ -69,7 +70,7 @@ void CoarseIndex::Build() {
         TopKMaxHeap heap(r);
         for (size_t i = lo; i < hi; ++i) {
           const float* v = keys_.Vec(static_cast<uint32_t>(i));
-          heap.Push(static_cast<uint32_t>(i), Dot(v, v, d));
+          heap.Push(static_cast<uint32_t>(i), Kernels().dot(v, v, d));
         }
         auto picks = heap.TakeSortedDesc();
         for (size_t j = 0; j < picks.size(); ++j) {
@@ -93,7 +94,7 @@ float CoarseIndex::BlockScore(const float* q, size_t blk) const {
   const size_t d = keys_.d;
   switch (options_.rep_kind) {
     case BlockRepKind::kMean:
-      return Dot(q, reps_.data() + blk * d, d);
+      return Kernels().dot(q, reps_.data() + blk * d, d);
     case BlockRepKind::kMinMax: {
       // Quest upper bound: max over the box corners, separable per dimension.
       const float* mn = reps_.data() + blk * 2 * d;
@@ -108,7 +109,7 @@ float CoarseIndex::BlockScore(const float* q, size_t blk) const {
       const size_t r = options_.reps_per_block;
       float best = -1e30f;
       for (size_t j = 0; j < r; ++j) {
-        best = std::max(best, Dot(q, reps_.data() + (blk * r + j) * d, d));
+        best = std::max(best, Kernels().dot(q, reps_.data() + (blk * r + j) * d, d));
       }
       return best;
     }

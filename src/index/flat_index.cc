@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/bounded_heap.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 
@@ -22,7 +23,7 @@ Status FlatIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
                            ? std::min<size_t>(view_.n, filter.prefix_len)
                            : view_.n;
   for (uint32_t i = 0; i < limit; ++i) {
-    heap.Push(i, Dot(q, view_.Vec(i), view_.d));
+    heap.Push(i, Kernels().dot(q, view_.Vec(i), view_.d));
   }
   out->stats.dist_comps += limit;
   out->hits = heap.TakeSortedDesc();
@@ -50,7 +51,7 @@ Status FlatIndex::SearchDiprFiltered(const float* q, const DiprParams& params,
   // (A flat scan computes DIPR exactly — it is the ground-truth oracle the
   // tests use to validate graph-based DIPRS.)
   std::vector<float> scores(limit);
-  MatVecDot(view_.data, limit, view_.d, q, scores.data());
+  Kernels().matvec(view_.data, limit, view_.d, q, scores.data());
   out->stats.dist_comps += limit;
   const float max_ip = MaxValue(scores.data(), limit);
   const float threshold = max_ip - params.beta;

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "src/common/bounded_heap.h"
+#include "src/common/vector_codec.h"
 #include "src/common/visited_set.h"
 #include "src/index/graph_search.h"
 #include "src/query/diprs.h"
@@ -20,8 +21,8 @@ Hnsw::Hnsw(VectorSetView view, const HnswOptions& options)
 Hnsw::~Hnsw() = default;
 
 float Hnsw::Score(const float* a, const float* b) const {
-  if (options_.metric == GraphMetric::kInnerProduct) return Dot(a, b, view_.d);
-  return -L2Sq(a, b, view_.d);
+  if (options_.metric == GraphMetric::kInnerProduct) return Kernels().dot(a, b, view_.d);
+  return -Kernels().l2sq(a, b, view_.d);
 }
 
 Status Hnsw::Build() {

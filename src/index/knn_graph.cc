@@ -1,6 +1,7 @@
 #include "src/index/knn_graph.h"
 
 #include "src/common/bounded_heap.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 
@@ -14,7 +15,7 @@ std::vector<std::vector<ScoredId>> ExactBipartiteKnn(VectorSetView keys,
     TopKMaxHeap heap(options.k);
     const float* q = queries.Vec(static_cast<uint32_t>(qi));
     for (uint32_t i = 0; i < keys.n; ++i) {
-      heap.Push(i, Dot(q, keys.Vec(i), keys.d));
+      heap.Push(i, Kernels().dot(q, keys.Vec(i), keys.d));
     }
     out[qi] = heap.TakeSortedDesc();
   };

@@ -4,6 +4,7 @@
 #include <deque>
 #include <mutex>
 
+#include "src/common/vector_codec.h"
 #include "src/index/graph_search.h"
 #include "src/query/diprs.h"
 
@@ -35,7 +36,7 @@ Status RoarGraph::BuildFromBipartite(
   // from high-norm points, and attention-sink keys have large norms.
   float best_norm = -1.f;
   for (uint32_t i = 0; i < keys_.n; ++i) {
-    const float n2 = Dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
+    const float n2 = Kernels().dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
     if (n2 > best_norm) {
       best_norm = n2;
       entry_ = i;
@@ -83,14 +84,14 @@ Status RoarGraph::ExtendFromBase(const RoarGraph& base, size_t base_count) {
     entry_ = 0;
     float best_norm = -1.f;
     for (uint32_t i = 0; i < base_count; ++i) {
-      const float n2 = Dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
+      const float n2 = Kernels().dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
       if (n2 > best_norm) {
         best_norm = n2;
         entry_ = i;
       }
     }
   }
-  float entry_norm = Dot(keys_.Vec(entry_), keys_.Vec(entry_), keys_.d);
+  float entry_norm = Kernels().dot(keys_.Vec(entry_), keys_.Vec(entry_), keys_.d);
 
   // Insert the suffix keys one at a time: beam-search the growing graph for
   // each new key, expand the hits by one hop, and diversity-prune exactly like
@@ -113,7 +114,7 @@ Status RoarGraph::ExtendFromBase(const RoarGraph& base, size_t base_count) {
     PruneNode(u, &candidates);
     for (uint32_t v : graph_.Neighbors(u)) graph_.AddEdge(v, u);
     // Preserve the max-norm entry invariant as the key set grows.
-    const float n2 = Dot(keys_.Vec(u), keys_.Vec(u), keys_.d);
+    const float n2 = Kernels().dot(keys_.Vec(u), keys_.Vec(u), keys_.d);
     if (n2 > entry_norm) {
       entry_norm = n2;
       entry_ = u;
@@ -132,7 +133,7 @@ Status RoarGraph::AdoptGraph(AdjacencyGraph&& graph) {
   graph_ = std::move(graph);
   float best_norm = -1.f;
   for (uint32_t i = 0; i < keys_.n; ++i) {
-    const float n2 = Dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
+    const float n2 = Kernels().dot(keys_.Vec(i), keys_.Vec(i), keys_.d);
     if (n2 > best_norm) {
       best_norm = n2;
       entry_ = i;
@@ -191,10 +192,11 @@ void RoarGraph::PruneNode(uint32_t u, std::vector<uint32_t>* candidates) {
 
   // Diversity pruning on key-space L2 (Vamana robust prune): keep candidate c
   // unless an already-kept neighbor s is alpha-times closer to c than u is.
+  const KernelOps& ops = Kernels();
   std::vector<ScoredId> by_dist;
   by_dist.reserve(cand.size());
   for (uint32_t c : cand) {
-    by_dist.push_back({c, -L2Sq(keys_.Vec(u), keys_.Vec(c), keys_.d)});
+    by_dist.push_back({c, -ops.l2sq(keys_.Vec(u), keys_.Vec(c), keys_.d)});
   }
   SortByScoreDesc(&by_dist);  // Closest first (scores are negated distances).
 
@@ -205,7 +207,7 @@ void RoarGraph::PruneNode(uint32_t u, std::vector<uint32_t>* candidates) {
     const float du = -c.score;
     bool occluded = false;
     for (uint32_t s : kept) {
-      const float ds = L2Sq(keys_.Vec(s), keys_.Vec(c.id), keys_.d);
+      const float ds = ops.l2sq(keys_.Vec(s), keys_.Vec(c.id), keys_.d);
       if (ds * alpha2 < du) {
         occluded = true;
         break;

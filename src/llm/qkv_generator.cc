@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/attention/attention_engine.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 
@@ -32,8 +33,8 @@ void VectorAtCosine(Rng* rng, const float* dir, float cos_target, float* out,
                     size_t d) {
   std::vector<float> noise(d);
   rng->FillGaussian(noise.data(), d);
-  const float proj = Dot(noise.data(), dir, d);
-  Axpy(noise.data(), dir, d, -proj);  // Orthogonalize.
+  const float proj = Kernels().dot(noise.data(), dir, d);
+  Kernels().axpy(noise.data(), dir, d, -proj);  // Orthogonalize.
   NormalizeInPlace(noise.data(), d);
   const float sin_target = std::sqrt(std::max(0.f, 1.f - cos_target * cos_target));
   for (size_t i = 0; i < d; ++i) {
@@ -167,7 +168,7 @@ void SyntheticContext::GenerateHead(uint32_t layer, uint32_t kv_head, uint64_t s
     float* k = keys->data() + i * d;
     rng.FillGaussian(k, d);
     NormalizeInPlace(k, d);
-    Scale(k, d, rho);
+    Kernels().scale(k, d, rho);
     float* v = values->data() + i * d;
     rng.FillGaussian(v, d);
     NormalizeInPlace(v, d);
@@ -177,7 +178,7 @@ void SyntheticContext::GenerateHead(uint32_t layer, uint32_t kv_head, uint64_t s
     float* k = keys->data() + static_cast<size_t>(s) * d;
     VectorAtCosine(&rng, plan.sink_dir.data(), 0.995f, k, d);
     float* v = values->data() + static_cast<size_t>(s) * d;
-    Scale(v, d, static_cast<float>(options_.sink_value_scale));
+    Kernels().scale(v, d, static_cast<float>(options_.sink_value_scale));
   }
   // Critical tokens: keys at exact cosine so z lands in the task band.
   for (uint32_t t = 0; t < T; ++t) {
@@ -214,9 +215,9 @@ void SyntheticContext::BuildQuery(uint32_t layer, uint32_t kv_head, uint32_t top
   NormalizeInPlace(q, d);
   const float sqrt_d = std::sqrt(static_cast<float>(d));
   const float query_scale = static_cast<float>(spec.crit_z_max) * sqrt_d;
-  Scale(q, d, query_scale);
+  Kernels().scale(q, d, query_scale);
   // Sink component: guarantees the max-IP key lives in the window.
-  Axpy(q, plan.sink_dir.data(), d, static_cast<float>(spec.sink_z) * sqrt_d);
+  Kernels().axpy(q, plan.sink_dir.data(), d, static_cast<float>(spec.sink_z) * sqrt_d);
 }
 
 void SyntheticContext::MakeDecodeQuery(size_t step, uint32_t layer, uint32_t q_head,

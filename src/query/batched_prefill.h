@@ -94,8 +94,8 @@ class PrefillWave {
   void Wait();
 
   /// Waits up to `timeout` for the wave to drain; returns true when no chunk
-  /// is outstanding. The serving engine polls this on prefill-only steps so
-  /// it can admit newly queued requests while chunks are still in flight.
+  /// is outstanding. The serving engine polls this while joining each step's
+  /// wave so it can admit newly queued requests while chunks are in flight.
   bool WaitFor(std::chrono::microseconds timeout);
 
   /// Chunks launched over the wave's lifetime (driver thread only).

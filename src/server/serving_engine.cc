@@ -732,11 +732,9 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     // next step), so the per-layer batch stays over a fixed set. The last
     // layer skips the poll: a chunk launched there could not overlap
     // anything and would only delay the join.
-    if (options_.midstep_admission && layer + 1 < layers) MidStepAdmit(&s);
+    if (layer + 1 < layers) MidStepAdmit(&s);
   }
-  // Gated with midstep_admission so the boundary-only baseline keeps its
-  // exact retirement timing.
-  if (options_.midstep_admission) RetireMidStep(step_timer);
+  RetireMidStep(step_timer);
   JoinWave(&s);
   ALAYA_RETURN_IF_ERROR(decode_status);
   FoldPrefillChunks(&s);
@@ -928,11 +926,8 @@ void ServingEngine::JoinWave(StepState* s) {
   // layer loop to interleave with); for mixed steps it extends coverage past
   // the last between-layer poll into the wave-join tail, so an arrival during
   // the final decode layer or a long chunk still enters mid-step and its
-  // chunk joins the same wave.
-  if (options_.midstep_admission) {
-    while (!s->wave.WaitFor(std::chrono::microseconds(200))) MidStepAdmit(s);
-  }
-  s->wave.Wait();
+  // chunk joins the same wave. The loop exits only once the wave is drained.
+  while (!s->wave.WaitFor(std::chrono::microseconds(200))) MidStepAdmit(s);
 }
 
 void ServingEngine::FoldPrefillChunks(StepState* s) {

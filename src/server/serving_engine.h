@@ -43,14 +43,15 @@
 //      queries are flattened into ONE batch on the shared ThreadPool
 //      (src/query/batched_diprs.h); after a session's last layer its output
 //      block is streamed through on_token; BETWEEN layers (and while waiting
-//      out a prefill-only step) the driver polls the scheduler and admits
+//      out the step's prefill wave) the driver polls the scheduler and admits
 //      newly queued requests mid-step — a new session's first prefill chunk
 //      draws from the step's unspent budget and joins the wave already in
 //      flight instead of waiting for the batch to drain;
 //   5. finished sessions optionally store their context (late
 //      materialization through DB.store_async, off the step loop) and
-//      release their admission reservation, letting the scheduler pull the
-//      next queued request at the next boundary.
+//      release their admission reservation the moment their last token
+//      decodes, before the wave join, so the same step's admission polls can
+//      fill the freed slot.
 //
 // Request lifecycle: Queued (scheduler backlog) → Prefilling (prompt suffix
 // chunks) → Decoding (lockstep tokens) → Retiring (terminal result published,
@@ -135,14 +136,6 @@ struct ServingEngineOptions {
   /// serializer round-trip is exact). 0 keeps every parked KV host-resident
   /// (the historical behavior).
   uint64_t suspend_spill_host_budget_bytes = 0;
-  /// Continuous batching: admit newly queued requests *inside* a running step
-  /// — between decode layers and while a prefill-only step's wave is in
-  /// flight — launching their first prefill chunk into the current step
-  /// instead of waiting for the next boundary. The budget split itself
-  /// (scheduler.step_token_budget / prefill_chunk_tokens / min_prefill_tokens)
-  /// applies either way. False restores boundary-only admission — the
-  /// phase-serialized baseline the TTFT bench compares against.
-  bool midstep_admission = true;
 };
 
 /// Synthetic id for the `step`-th decoded token of request `request_id`, used
@@ -308,12 +301,12 @@ struct ServingSnapshot {
   size_t tokens_decoded = 0;
   size_t engine_steps = 0;       ///< Driver steps executed (lifetime).
   /// Requests admitted *inside* a running step (between decode layers or
-  /// during a prefill-only wave) rather than at a step boundary — the
-  /// continuous-batching counter. Zero when midstep_admission is off.
+  /// while the step's prefill wave drains) rather than at a step boundary —
+  /// the continuous-batching counter.
   size_t midstep_admissions = 0;
   /// Sessions retired *inside* a running step — the moment their last token
   /// decoded, instead of at the step boundary — freeing their slot for the
-  /// same step's mid-step admission polls. Zero when midstep_admission is off.
+  /// same step's mid-step admission polls.
   size_t midstep_retirements = 0;
   /// Preemptive scheduling: running sessions suspended to yield their slot to
   /// a higher-priority request, and suspended sessions resumed (with zero
@@ -585,7 +578,7 @@ class ServingEngine {
   /// a->chunk_status.
   void LaunchChunk(ActiveSession* a, size_t count, PrefillWave* wave);
   /// Retires the sessions whose last token just decoded, freeing their slots
-  /// for the wave-tail admission polls (midstep_admission only).
+  /// for the wave-tail admission polls.
   void RetireMidStep(const WallTimer& step_timer);
   /// Joins the prefill wave, polling mid-step admissions while it drains.
   void JoinWave(StepState* s);

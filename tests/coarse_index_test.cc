@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 namespace {
@@ -16,7 +17,7 @@ VectorSet MakePlantedSet(size_t d, uint32_t block_size, uint32_t hot_block) {
   for (uint32_t i = 0; i < block_size * 10; ++i) {
     rng.FillGaussian(v.data(), d);
     NormalizeInPlace(v.data(), d);
-    Scale(v.data(), d, 0.1f);
+    Kernels().scale(v.data(), d, 0.1f);
     if (i / block_size == hot_block) {
       v[0] += 5.f;  // Strongly aligned with e0.
     }
@@ -65,7 +66,7 @@ TEST(CoarseIndexTest, MinMaxScoreIsUpperBound) {
       const float bound = index.BlockScore(q.data(), b);
       for (uint32_t i = 0; i < 8; ++i) {
         const uint32_t id = static_cast<uint32_t>(b * 8 + i);
-        EXPECT_GE(bound + 1e-4f, Dot(q.data(), set.Vec(id), 16))
+        EXPECT_GE(bound + 1e-4f, Kernels().dot(q.data(), set.Vec(id), 16))
             << "block " << b << " token " << id;
       }
     }

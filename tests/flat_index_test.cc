@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "src/common/rng.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 namespace {
@@ -23,7 +24,7 @@ VectorSet MakeRandomSet(size_t n, size_t d, uint64_t seed) {
 std::vector<ScoredId> BruteTopK(VectorSetView view, const float* q, size_t k) {
   std::vector<ScoredId> all;
   for (uint32_t i = 0; i < view.n; ++i) {
-    all.push_back({i, Dot(q, view.Vec(i), view.d)});
+    all.push_back({i, Kernels().dot(q, view.Vec(i), view.d)});
   }
   SortByScoreDesc(&all);
   if (all.size() > k) all.resize(k);
@@ -63,11 +64,11 @@ TEST(FlatIndexTest, DiprMatchesDefinition) {
     // Compute reference.
     float max_ip = -1e30f;
     for (uint32_t i = 0; i < 300; ++i) {
-      max_ip = std::max(max_ip, Dot(q.data(), set.Vec(i), 16));
+      max_ip = std::max(max_ip, Kernels().dot(q.data(), set.Vec(i), 16));
     }
     size_t expected = 0;
     for (uint32_t i = 0; i < 300; ++i) {
-      if (Dot(q.data(), set.Vec(i), 16) >= max_ip - beta) ++expected;
+      if (Kernels().dot(q.data(), set.Vec(i), 16) >= max_ip - beta) ++expected;
     }
     EXPECT_EQ(res.hits.size(), expected) << "beta=" << beta;
     // Hits are sorted descending and all pass the threshold.

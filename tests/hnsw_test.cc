@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/vector_codec.h"
 #include "tests/test_util.h"
 
 namespace alaya {
@@ -66,7 +67,7 @@ TEST(HnswTest, L2MetricRecall) {
     ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{10, 128}, &res).ok());
     std::vector<ScoredId> exact;
     for (uint32_t i = 0; i < 2000; ++i) {
-      exact.push_back({i, -L2Sq(q.data(), set.Vec(i), 24)});
+      exact.push_back({i, -Kernels().l2sq(q.data(), set.Vec(i), 24)});
     }
     SortByScoreDesc(&exact);
     exact.resize(10);

@@ -6,6 +6,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/vec_math.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 namespace {
@@ -18,7 +19,7 @@ std::vector<float> ReferenceAttention(const std::vector<float>& logits,
   SoftmaxInPlace(scores.data(), scores.size());
   std::vector<float> out(d, 0.f);
   for (size_t i = 0; i < scores.size(); ++i) {
-    Axpy(out.data(), values[i].data(), d, scores[i]);
+    Kernels().axpy(out.data(), values[i].data(), d, scores[i]);
   }
   return out;
 }

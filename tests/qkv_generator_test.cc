@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/common/vec_math.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 namespace {
@@ -69,7 +70,7 @@ TEST(QkvGeneratorTest, CriticalLogitsLandInTaskBand) {
     const uint32_t kvh = opts.model.KvHeadForQuery(h);
     for (uint32_t id : ctx.CriticalSet(0, 1, h)) {
       const double z =
-          Dot(q.data(), ctx.kv().Keys(1, kvh).Vec(id), d) / sqrt_d;
+          Kernels().dot(q.data(), ctx.kv().Keys(1, kvh).Vec(id), d) / sqrt_d;
       // Band plus slack: the query's sink component projects onto critical
       // keys with sigma ~ sink_z/sqrt(d) (soft band, like real logits).
       EXPECT_GT(z, opts.spec.crit_z_min - 5.5) << "head " << h << " id " << id;
@@ -98,7 +99,7 @@ TEST(QkvGeneratorTest, MaxInnerProductKeyIsInWindow) {
       float best = -1e30f;
       uint32_t best_id = 0;
       for (uint32_t i = 0; i < keys.n; ++i) {
-        const float ip = Dot(q.data(), keys.Vec(i), d);
+        const float ip = Kernels().dot(q.data(), keys.Vec(i), d);
         if (ip > best) {
           best = ip;
           best_id = i;

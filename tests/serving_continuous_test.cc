@@ -185,8 +185,7 @@ TEST(ServingContinuousTest, AdmissionLandsInsideTheRunningStep) {
 
 // --- The open-loop TTFT equivalence golden (satellite): a burst submitted
 // --- while the engine is mid-step decodes bit-identically to a sequential
-// --- one-at-a-time run, across several chunk-size / step-budget splits and
-// --- in the phase-serialized (midstep off) baseline mode.
+// --- one-at-a-time run, across several chunk-size / step-budget splits.
 
 TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
   constexpr size_t kStored = 96, kSuffix = 32, kSteps = 3;
@@ -227,23 +226,20 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
   struct Split {
     size_t chunk;
     size_t budget;
-    bool midstep;
   };
   const Split splits[] = {
-      {4, 0, true},    // Tiny chunks, unlimited budget.
-      {8, 12, true},   // Budget covers head chunk + part of the next.
-      {16, 6, true},   // Budget below one chunk: floor carries the head.
-      {32, 48, true},  // Roomy budget.
-      {16, 12, false}, // Phase-serialized baseline (bench's --no-midstep).
+      {4, 0},    // Tiny chunks, unlimited budget.
+      {8, 12},   // Budget covers head chunk + part of the next.
+      {16, 6},   // Budget below one chunk: floor carries the head.
+      {32, 48},  // Roomy budget.
+      {16, 12},  // Budget three quarters of a chunk.
   };
   for (const Split& s : splits) {
-    SCOPED_TRACE(testing::Message() << "chunk=" << s.chunk << " budget=" << s.budget
-                                    << " midstep=" << s.midstep);
+    SCOPED_TRACE(testing::Message() << "chunk=" << s.chunk << " budget=" << s.budget);
     ContinuousFixture fx(kStored);
     ServingEngineOptions opts = fx.EngineOptions(4);
     opts.scheduler.prefill_chunk_tokens = s.chunk;
     opts.scheduler.step_token_budget = s.budget;
-    opts.midstep_admission = s.midstep;
     ServingEngine engine(fx.db.get(), opts);
     ASSERT_TRUE(engine.Start().ok());
 
@@ -261,14 +257,12 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       handles.push_back(id.value());
     }
-    if (s.midstep) {
-      // Hold the head's parked chunk until the driver's poll loop has pulled
-      // at least one burst request into the RUNNING step (the snapshot
-      // publishes mid-step admissions immediately). The step cannot end while
-      // the gate is closed, so this converges deterministically.
-      while (engine.snapshot().midstep_admissions == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+    // Hold the head's parked chunk until the driver's poll loop has pulled
+    // at least one burst request into the RUNNING step (the snapshot
+    // publishes mid-step admissions immediately). The step cannot end while
+    // the gate is closed, so this converges deterministically.
+    while (engine.snapshot().midstep_admissions == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     gate.Open();
 
@@ -279,8 +273,7 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
       EXPECT_EQ(r->prefilled_tokens, golden[i].prefilled_tokens) << "request " << i;
       ASSERT_EQ(r->outputs.size(), golden[i].outputs.size()) << "request " << i;
       EXPECT_EQ(r->outputs, golden[i].outputs) << "request " << i;
-      // Wall-time attribution survives either retire path: the boundary
-      // loop and the mid-step retirement both credit the decode phase.
+      // Mid-step retirement credits the decode phase its wall time.
       EXPECT_GT(r->decode_wall_seconds, 0.0) << "request " << i;
       if (r->prefilled_tokens > 0) {
         EXPECT_GT(r->prefill_wall_seconds, 0.0) << "request " << i;
@@ -288,17 +281,12 @@ TEST(ServingContinuousTest, MidStepBurstMatchesSequentialAcrossBudgetSplits) {
     }
     ASSERT_TRUE(engine.Shutdown().ok());
     const ServingSnapshot snap = engine.snapshot();
-    // Every session's last token decodes in a step that retires it mid-step
-    // when midstep admission is on; the baseline retires only at boundaries.
-    EXPECT_EQ(snap.midstep_retirements, s.midstep ? reqs.size() : 0u);
-    if (s.midstep) {
-      // The burst was queued while the head's wave was parked and the driver
-      // polls admission between wave checks, so at least one request MUST
-      // have been admitted inside that step.
-      EXPECT_GE(snap.midstep_admissions, 1u);
-    } else {
-      EXPECT_EQ(snap.midstep_admissions, 0u);  // Baseline never does.
-    }
+    // Every session's last token decodes in a step that retires it mid-step.
+    EXPECT_EQ(snap.midstep_retirements, reqs.size());
+    // The burst was queued while the head's wave was parked and the driver
+    // polls admission between wave checks, so at least one request MUST have
+    // been admitted inside that step.
+    EXPECT_GE(snap.midstep_admissions, 1u);
   }
 }
 

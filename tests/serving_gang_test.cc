@@ -5,9 +5,10 @@
 // ring-merged partial softmax is exact, so ganging moves residency, never
 // math. Also: smallest-sufficient-gang admission (a subset budget gangs 2,
 // not 4), the kNeverFits gate relaxing to the largest permitted gang's
-// combined budget, cross-device KV migration racing retirement/re-homing, the
-// driver's skew-triggered rebalance probe, suspend-spill of parked KV to disk
-// with bit-identical resume, and a TSan-targeted multi-gang stress run.
+// combined budget (the max servable context scales with gang size),
+// cross-device KV migration racing retirement/re-homing, the driver's
+// skew-triggered rebalance probe, suspend-spill of parked KV to disk with
+// bit-identical resume, and a TSan-targeted multi-gang stress run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -209,6 +210,53 @@ TEST(ServingGangTest, NeverFitsGateRelaxesToLargestPermittedGang) {
     EXPECT_TRUE(h.value().Wait()->status.ok());
     EXPECT_EQ(engine.snapshot().gang_admissions, 1u);
   }
+}
+
+TEST(ServingGangTest, MaxServableContextScalesWithGangSize) {
+  // The admission boundary a gang relaxes: the largest zero-reuse prompt
+  // Enqueue accepts (rather than rejecting kNeverFits) grows with the gang's
+  // combined budget. A fresh scheduler per probe — Enqueue holds no
+  // reservation, but one instance would hit max_queue_depth mid-search.
+  constexpr size_t kDevices = 4;
+  const ModelConfig model = ModelConfig::Tiny();
+  const WindowConfig window{8, 16};
+  SimEnvironment env;
+  auto max_servable = [&](size_t gang) {
+    RequestSchedulerOptions opts;
+    opts.gpu_budget_bytes = 512 * model.KvBytesPerToken();
+    opts.max_gang_size = gang;
+    auto fits = [&](size_t tokens) {
+      RequestScheduler sched(model, window, env.cost_model(), opts, kDevices);
+      ServingRequest r;
+      r.prompt.assign(tokens, 7);
+      r.max_new_tokens = 1;
+      r.fill_step = [](size_t, uint32_t, float*, float*, float*) {};
+      return sched.Enqueue(std::move(r)).ok();
+    };
+    size_t lo = 1, hi = 2;  // Invariant: fits(lo) && !fits(hi).
+    EXPECT_TRUE(fits(lo));
+    while (fits(hi)) {
+      lo = hi;
+      hi *= 2;
+    }
+    while (lo + 1 < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      (fits(mid) ? lo : hi) = mid;
+    }
+    return lo;
+  };
+  std::vector<size_t> max_tokens;
+  for (size_t gang = 1; gang <= kDevices; ++gang) {
+    max_tokens.push_back(max_servable(gang));
+    SCOPED_TRACE(testing::Message() << "gang " << gang);
+    if (gang > 1) {
+      EXPECT_GT(max_tokens[gang - 1], max_tokens[gang - 2]);
+    }
+  }
+  const double scaling = static_cast<double>(max_tokens.back()) /
+                         static_cast<double>(max_tokens.front());
+  EXPECT_GE(scaling, 3.0) << "gang-1 " << max_tokens.front() << " tokens, gang-4 "
+                          << max_tokens.back() << " tokens";
 }
 
 TEST(ServingGangTest, SchedulerGangKnobIsTheOnlyGangKnob) {

@@ -1,13 +1,17 @@
 // Preemptive multi-tenant scheduling: priority classes, suspend/resume with
 // zero recompute (the resumed decode is bit-identical to an uninterrupted
-// one), FairSharePolicy's exact-FIFO degeneracy on single-class traffic, and
-// the suspended-state edge cases — cancel-while-suspended, deadline-expiry-while-
-// suspended, suspension racing retirement. The storm test races caller
-// threads against the preempting driver and runs under TSan in CI.
+// one), a high-priority burst finishing ahead of the long low-priority
+// decodes it preempted, FairSharePolicy's exact-FIFO degeneracy on
+// single-class traffic, and the suspended-state edge cases —
+// cancel-while-suspended, deadline-expiry-while-suspended, suspension racing
+// retirement. The storm test races caller threads against the preempting
+// driver and runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -182,6 +186,84 @@ TEST(ServingPreemptTest, PreemptedDecodeResumesBitIdenticalWithZeroRecompute) {
   EXPECT_EQ(snap.classes[1].preempted, 0u);
   EXPECT_EQ(engine.scheduler().active(), 0u);
   EXPECT_EQ(engine.scheduler().queued(), 0u);
+}
+
+// Priority burst: with every slot holding a long low-priority decode, a burst
+// of high-priority requests preempts its way in — every high finishes before
+// any low, and every low still completes all its steps after resuming. Host
+// independent: the driver parks inside a step (in a low's token callback)
+// until the whole burst is queued, and finish order is read from the driver's
+// own token stream, not from wall-clock TTFT.
+TEST(ServingPreemptTest, PriorityBurstFinishesBeforeAnyPreemptedLow) {
+  constexpr size_t kSlots = 4, kLows = 4, kHighs = 6;
+  constexpr size_t kLowSteps = 64, kHighSteps = 4;
+  PreemptFixture fx;
+  ServingEngine engine(fx.db.get(), fx.EngineOptions(kSlots));
+
+  // Finish order: on_token runs on the driver thread, so one counter bumped
+  // at each request's last token totally orders completions.
+  std::atomic<size_t> finish_seq{0};
+  std::vector<size_t> low_done(kLows), high_done(kHighs);
+  std::atomic<size_t> lows_decoding{0};
+  std::promise<void> all_lows_decoding, burst_queued;
+  std::shared_future<void> burst = burst_queued.get_future().share();
+
+  std::vector<RequestHandle> lows, highs;
+  for (size_t i = 0; i < kLows; ++i) {
+    ServingRequest r = fx.MakeRequest(800 + i, kLowSteps);
+    r.priority = 0;
+    r.on_token = [&, i](size_t step, std::span<const float>) {
+      // The last low to stream its first token parks the driver mid-step:
+      // all four slots are now provably mid-decode.
+      if (step == 0 && lows_decoding.fetch_add(1) + 1 == kLows) {
+        all_lows_decoding.set_value();
+        burst.wait();
+      }
+      if (step + 1 == kLowSteps) low_done[i] = finish_seq.fetch_add(1);
+    };
+    auto h = engine.Submit(std::move(r));
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    lows.push_back(h.value());
+  }
+  ASSERT_TRUE(engine.Start().ok());
+  all_lows_decoding.get_future().wait();
+  for (size_t i = 0; i < kHighs; ++i) {
+    ServingRequest r = fx.MakeRequest(900 + i, kHighSteps);
+    r.priority = 1;
+    r.on_token = [&, i](size_t step, std::span<const float>) {
+      if (step + 1 == kHighSteps) high_done[i] = finish_seq.fetch_add(1);
+    };
+    auto h = engine.Submit(std::move(r));
+    EXPECT_TRUE(h.ok()) << h.status().ToString();
+    if (h.ok()) highs.push_back(h.value());
+  }
+  burst_queued.set_value();  // Unpark the driver: the burst is queued.
+  ASSERT_EQ(highs.size(), kHighs);
+
+  for (size_t i = 0; i < kHighs; ++i) {
+    const RequestResult* r = highs[i].Wait();
+    ASSERT_NE(r, nullptr);
+    ASSERT_TRUE(r->status.ok()) << "high " << i << ": " << r->status.ToString();
+    EXPECT_EQ(r->steps_completed, kHighSteps) << "high " << i;
+  }
+  size_t low_preemptions = 0;
+  for (size_t i = 0; i < kLows; ++i) {
+    const RequestResult* r = lows[i].Wait();
+    ASSERT_NE(r, nullptr);
+    ASSERT_TRUE(r->status.ok()) << "low " << i << ": " << r->status.ToString();
+    // Suspension loses no work: the full decode completes after resuming.
+    EXPECT_EQ(r->steps_completed, kLowSteps) << "low " << i;
+    EXPECT_EQ(r->resumes, r->preemptions) << "low " << i;
+    low_preemptions += r->preemptions;
+  }
+  engine.WaitIdle();
+  ASSERT_TRUE(engine.Shutdown().ok());
+
+  EXPECT_GE(low_preemptions, 1u);
+  EXPECT_GE(engine.snapshot().preemptions, 1u);
+  const size_t last_high = *std::max_element(high_done.begin(), high_done.end());
+  const size_t first_low = *std::min_element(low_done.begin(), low_done.end());
+  EXPECT_LT(last_high, first_low) << "a low finished before the high burst drained";
 }
 
 // FairSharePolicy degenerates to exact FIFO on single-class traffic: with one

@@ -6,6 +6,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/vec_math.h"
+#include "src/common/vector_codec.h"
 #include "src/index/vector_set.h"
 
 namespace alaya {
@@ -46,15 +47,16 @@ struct PlantedMips {
         const float cos_t = (1.f - band) + band * rng.UniformFloat();
         std::vector<float> noise(d);
         rng.FillGaussian(noise.data(), d);
-        const float proj = Dot(noise.data(), dir.data(), d);
-        Axpy(noise.data(), dir.data(), d, -proj);
+        const float proj = Kernels().dot(noise.data(), dir.data(), d);
+        Kernels().axpy(noise.data(), dir.data(), d, -proj);
         NormalizeInPlace(noise.data(), d);
         const float sin_t = std::sqrt(std::max(0.f, 1.f - cos_t * cos_t));
         for (size_t j = 0; j < d; ++j) v[j] = cos_t * dir[j] + sin_t * noise[j];
       } else {
         rng.FillGaussian(v.data(), d);
         NormalizeInPlace(v.data(), d);
-        Scale(v.data(), d, 0.4f);  // Background: ip ~ N(0, 0.4*q_norm/sqrt(d)).
+        // Background: ip ~ N(0, 0.4*q_norm/sqrt(d)).
+        Kernels().scale(v.data(), d, 0.4f);
       }
       keys.Append(v.data());
     }
@@ -78,7 +80,7 @@ struct PlantedMips {
 inline std::vector<ScoredId> BruteTopK(VectorSetView view, const float* q, size_t k) {
   std::vector<ScoredId> all;
   for (uint32_t i = 0; i < view.n; ++i) {
-    all.push_back({i, Dot(q, view.Vec(i), view.d)});
+    all.push_back({i, Kernels().dot(q, view.Vec(i), view.d)});
   }
   SortByScoreDesc(&all);
   if (all.size() > k) all.resize(k);

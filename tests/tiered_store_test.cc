@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/vector_codec.h"
 #include "src/core/alaya_db.h"
+#include "src/server/serving_engine.h"
 
 namespace alaya {
 namespace {
@@ -412,6 +414,126 @@ TEST(TieredStoreTest, DecayedPopularityEvictsFormerlyHot) {
   EXPECT_FALSE(db.contexts().IsSpilled(c.value()));
   EXPECT_LE(db.contexts().TotalKvBytes(), fx.options.tier.host_budget_bytes);
 }
+
+// --- Quantized residency: at one host budget an int8 KV codec keeps more
+// --- contexts resident than fp32, because a context's deployed bytes — what
+// --- the budget charges — shrink with the codec width.
+
+TEST(TieredStoreTest, Int8KeepsMoreContextsResidentThanFp32) {
+  constexpr size_t kTokens = 200;
+  constexpr size_t kContexts = 8;
+  const uint64_t ctx_bytes = kTokens * ModelConfig::Tiny().KvBytesPerToken();
+  const uint64_t budget = 2 * ctx_bytes + ctx_bytes / 2;
+  // Same contexts, same budget; only the codec differs.
+  auto import_all = [&](VectorCodec codec) {
+    SCOPED_TRACE(VectorCodecName(codec));
+    TierFixture fx;
+    fx.options.tier.host_budget_bytes = budget;
+    fx.options.quant.kv_codec = codec;
+    AlayaDB db(fx.options, &fx.env);
+    for (size_t i = 0; i < kContexts; ++i) {
+      const int32_t start = static_cast<int32_t>(i) * 1000;
+      EXPECT_TRUE(
+          db.Import(fx.TokenRange(start, kTokens), fx.MakeKv(kTokens, 200 + i)).ok());
+    }
+    EXPECT_NE(db.tiers(), nullptr);
+    const TieredContextStore::Stats stats =
+        db.tiers() != nullptr ? db.tiers()->stats() : TieredContextStore::Stats{};
+    EXPECT_EQ(stats.resident_contexts + stats.spilled_contexts, kContexts);
+    EXPECT_LE(stats.resident_kv_bytes, budget);
+    return stats;
+  };
+  const TieredContextStore::Stats fp32 = import_all(VectorCodec::kFp32);
+  const TieredContextStore::Stats int8 = import_all(VectorCodec::kInt8);
+  EXPECT_GE(fp32.spilled_contexts, 1u);  // The budget binds on fp32.
+  EXPECT_GT(int8.resident_contexts, fp32.resident_contexts)
+      << "of " << kContexts << " contexts";
+}
+
+// --- Serving over a spilling store: the engine, not a hand-driven session,
+// --- re-hits spilled prefixes. Under either KV codec, the budgeted run pages
+// --- contexts back in and every request's outputs match the same codec's
+// --- unbudgeted run bit for bit.
+
+class ServingOverSpillingStoreTest : public ::testing::TestWithParam<VectorCodec> {};
+
+TEST_P(ServingOverSpillingStoreTest, PagedInOutputsMatchUnbudgeted) {
+  constexpr size_t kTokens = 200;
+  constexpr size_t kSteps = 3;
+  constexpr int kContexts = 3;
+  constexpr int kRounds = 2;  // Every prefix is hit twice.
+  // One context's bytes as the budget charges them: deployed at the codec.
+  std::unique_ptr<KvCache> sizer = TierFixture().MakeKv(kTokens, 0);
+  sizer->QuantizeInPlace(GetParam());
+  const uint64_t ctx_bytes = sizer->DeployedBytes();
+
+  // budget 0 = unbudgeted. Returns every request's outputs in submit order.
+  auto serve = [&](uint64_t budget, ServingSnapshot* snap) {
+    TierFixture fx;
+    fx.options.quant.kv_codec = GetParam();
+    fx.options.tier.host_budget_bytes = budget;
+    ThreadPool pool(4);
+    fx.options.materialize_pool = &pool;
+    AlayaDB db(fx.options, &fx.env);
+    for (int i = 0; i < kContexts; ++i) {
+      EXPECT_TRUE(
+          db.Import(fx.TokenRange(i * 1000, kTokens), fx.MakeKv(kTokens, 300 + i)).ok());
+    }
+    ServingEngineOptions eopts;
+    eopts.scheduler.max_concurrent_sessions = 2;
+    eopts.pool = &pool;
+    ServingEngine engine(&db, eopts);
+    std::vector<RequestHandle> handles;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kContexts; ++i) {
+        ServingRequest r;
+        r.prompt = fx.TokenRange(i * 1000, kTokens);
+        r.max_new_tokens = kSteps;
+        r.record_outputs = true;
+        const ModelConfig m = fx.model;
+        const uint64_t seed = static_cast<uint64_t>(round * kContexts + i);
+        r.fill_step = [m, seed](size_t step, uint32_t layer, float* q, float* k,
+                                float* v) {
+          Rng rng(seed * 1000003ull + step * 131ull + layer);
+          rng.FillGaussian(q, static_cast<size_t>(m.num_q_heads) * m.head_dim);
+          rng.FillGaussian(k, static_cast<size_t>(m.num_kv_heads) * m.head_dim);
+          rng.FillGaussian(v, static_cast<size_t>(m.num_kv_heads) * m.head_dim);
+        };
+        auto h = engine.Submit(std::move(r));
+        EXPECT_TRUE(h.ok()) << h.status().ToString();
+        if (h.ok()) handles.push_back(h.value());
+      }
+    }
+    EXPECT_TRUE(engine.RunToCompletion().ok());
+    std::vector<std::vector<float>> outputs;
+    for (RequestHandle& h : handles) {
+      const RequestResult* r = h.Wait();
+      EXPECT_TRUE(r != nullptr && r->status.ok());
+      EXPECT_EQ(r != nullptr ? r->reused_prefix : 0, kTokens);
+      outputs.push_back(r != nullptr ? r->outputs : std::vector<float>{});
+    }
+    *snap = engine.snapshot();
+    return outputs;
+  };
+
+  ServingSnapshot golden_snap, snap;
+  const auto golden = serve(/*budget=*/0, &golden_snap);
+  // 1.5 contexts: at most one stays resident, so later hits must page in.
+  const auto outputs = serve(ctx_bytes + ctx_bytes / 2, &snap);
+  EXPECT_GE(snap.tier_spills, 1u);
+  EXPECT_GE(snap.tier_page_ins, 1u);
+  ASSERT_EQ(outputs.size(), golden.size());
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    ASSERT_FALSE(golden[i].empty()) << "request " << i;
+    ExpectBitIdentical(outputs[i], golden[i]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, ServingOverSpillingStoreTest,
+                         ::testing::Values(VectorCodec::kFp32, VectorCodec::kInt8),
+                         [](const ::testing::TestParamInfo<VectorCodec>& info) {
+                           return std::string(VectorCodecName(info.param));
+                         });
 
 // --- Concurrency: page-ins of DISTINCT contexts overlap (the io mutex is
 // --- sharded per-id, not global); every load lands intact and decodes

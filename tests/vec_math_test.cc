@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/vector_codec.h"
 
 namespace alaya {
 namespace {
@@ -14,25 +15,25 @@ namespace {
 TEST(VecMathTest, DotBasic) {
   const float a[] = {1, 2, 3, 4, 5};
   const float b[] = {5, 4, 3, 2, 1};
-  EXPECT_FLOAT_EQ(Dot(a, b, 5), 35.f);
-  EXPECT_FLOAT_EQ(Dot(a, b, 0), 0.f);
-  EXPECT_FLOAT_EQ(Dot(a, b, 1), 5.f);
+  EXPECT_FLOAT_EQ(Kernels().dot(a, b, 5), 35.f);
+  EXPECT_FLOAT_EQ(Kernels().dot(a, b, 0), 0.f);
+  EXPECT_FLOAT_EQ(Kernels().dot(a, b, 1), 5.f);
 }
 
 TEST(VecMathTest, L2SqAndNorm) {
   const float a[] = {3, 4};
   const float z[] = {0, 0};
-  EXPECT_FLOAT_EQ(L2Sq(a, z, 2), 25.f);
+  EXPECT_FLOAT_EQ(Kernels().l2sq(a, z, 2), 25.f);
   EXPECT_FLOAT_EQ(Norm(a, 2), 5.f);
 }
 
 TEST(VecMathTest, ScaleAxpy) {
   float y[] = {1, 1, 1};
   const float x[] = {1, 2, 3};
-  Axpy(y, x, 3, 2.f);
+  Kernels().axpy(y, x, 3, 2.f);
   EXPECT_FLOAT_EQ(y[0], 3.f);
   EXPECT_FLOAT_EQ(y[2], 7.f);
-  Scale(y, 3, 0.5f);
+  Kernels().scale(y, 3, 0.5f);
   EXPECT_FLOAT_EQ(y[0], 1.5f);
 }
 
@@ -97,9 +98,9 @@ TEST(VecMathTest, MatVecDotMatchesLoop) {
   std::vector<float> m(rows * d), v(d), out(rows);
   rng.FillGaussian(m.data(), m.size());
   rng.FillGaussian(v.data(), d);
-  MatVecDot(m.data(), rows, d, v.data(), out.data());
+  Kernels().matvec(m.data(), rows, d, v.data(), out.data());
   for (size_t i = 0; i < rows; ++i) {
-    EXPECT_NEAR(out[i], Dot(m.data() + i * d, v.data(), d), 1e-4);
+    EXPECT_NEAR(out[i], Kernels().dot(m.data() + i * d, v.data(), d), 1e-4);
   }
 }
 
@@ -122,7 +123,8 @@ TEST_P(DotDimTest, MatchesNaiveAcrossDims) {
   rng.FillGaussian(b.data(), d);
   double naive = 0;
   for (size_t i = 0; i < d; ++i) naive += double(a[i]) * b[i];
-  EXPECT_NEAR(Dot(a.data(), b.data(), d), naive, 1e-3 * (1.0 + std::abs(naive)));
+  EXPECT_NEAR(Kernels().dot(a.data(), b.data(), d), naive,
+              1e-3 * (1.0 + std::abs(naive)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, DotDimTest,

@@ -256,15 +256,7 @@ TEST(BatchedCodedTest, MatVecAndMultiQueryMatchScorer) {
   }
 }
 
-TEST(CodecNamesTest, ParseAndFormat) {
-  VectorCodec c;
-  EXPECT_TRUE(ParseVectorCodec("fp32", &c));
-  EXPECT_EQ(c, VectorCodec::kFp32);
-  EXPECT_TRUE(ParseVectorCodec("fp16", &c));
-  EXPECT_EQ(c, VectorCodec::kFp16);
-  EXPECT_TRUE(ParseVectorCodec("int8", &c));
-  EXPECT_EQ(c, VectorCodec::kInt8);
-  EXPECT_FALSE(ParseVectorCodec("int4", &c));
+TEST(CodecNamesTest, NamesAndWidths) {
   EXPECT_STREQ(VectorCodecName(VectorCodec::kInt8), "int8");
   EXPECT_EQ(CodecBytesPerScalar(VectorCodec::kFp32), 4u);
   EXPECT_EQ(CodecBytesPerScalar(VectorCodec::kFp16), 2u);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "src/common/vector_codec.h"
 #include "src/index/flat_index.h"
 #include "src/llm/qkv_generator.h"
 #include "src/llm/workloads.h"
@@ -95,8 +96,8 @@ TEST_P(TaskSweep, BackgroundLogitsStayBelowCriticalBand) {
   double max_bg = -1e30;
   for (uint32_t i = 0; i < keys.n; ++i) {
     if (is_planted[i]) continue;
-    max_bg = std::max(max_bg, static_cast<double>(Dot(q.data(), keys.Vec(i), 64)) /
-                                  sqrt_d);
+    const double ip = Kernels().dot(q.data(), keys.Vec(i), 64);
+    max_bg = std::max(max_bg, ip / sqrt_d);
   }
   // Background never reaches the critical band floor: sparse retrieval of the
   // planted set is well-posed for every task.
@@ -113,7 +114,7 @@ TEST_P(TaskSweep, SinkDominatesWindowPrior) {
   VectorSetView keys = ctx.kv().Keys(1, kvh);
   float sink_best = -1e30f;
   for (uint32_t s = 0; s < ctx.num_sinks(); ++s) {
-    sink_best = std::max(sink_best, Dot(q.data(), keys.Vec(s), 64));
+    sink_best = std::max(sink_best, Kernels().dot(q.data(), keys.Vec(s), 64));
   }
   // The sink inner product sits above the critical band's ceiling (the §7.1
   // window observation the DIPRS prior relies on).
