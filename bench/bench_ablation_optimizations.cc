@@ -49,7 +49,8 @@ void WindowHintAblation() {
     hints.prior_best_ip =
         window.MaxWindowInnerProduct(q.data(), ctx.kv().Keys(0, 0), ctx.num_tokens());
     SearchResult hinted =
-        DiprsSearch(graph.graph(), graph.vectors(), entry, q.data(), params, hints);
+        DiprsSearch(graph.graph(), graph.vectors(), entry, q.data(), params, IdFilter{},
+                    hints);
     appended_plain += plain.stats.appended;
     appended_hinted += hinted.stats.appended;
     comps_plain += plain.stats.dist_comps;

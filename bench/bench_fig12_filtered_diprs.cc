@@ -48,13 +48,12 @@ void Run() {
       ctx.MakeDecodeQuery(step, 0, 0, q.data());
       // Exact filtered DIPR (oracle).
       SearchResult oracle;
-      if (!flat.SearchDiprFiltered(q.data(), params, filter, &oracle).ok()) {
+      if (!flat.SearchDipr(q.data(), params, &oracle, filter).ok()) {
         std::abort();
       }
       latency.Start();
-      SearchResult got = DiprsSearchFiltered(graph.graph(), graph.vectors(),
-                                             graph.EntryPoint(q.data()), q.data(),
-                                             params, filter);
+      SearchResult got = DiprsSearch(graph.graph(), graph.vectors(), graph.EntryPoint(),
+                                     q.data(), params, filter);
       latency.Stop();
       if (oracle.hits.empty()) continue;
       std::vector<bool> found(stored, false);

@@ -204,7 +204,7 @@ void BM_Diprs(benchmark::State& state) {
   for (auto _ : state) {
     SearchResult res =
         DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                    fx.graph.EntryPoint(fx.data.query.data()),
+                    fx.graph.EntryPoint(),
                     fx.data.query.data(), params);
     benchmark::DoNotOptimize(res.hits.data());
   }

@@ -11,7 +11,8 @@
 namespace alaya {
 namespace {
 
-double MeasureTopK(const VectorIndex& index, const SyntheticContext& ctx, size_t k,
+template <typename Index>
+double MeasureTopK(const Index& index, const SyntheticContext& ctx, size_t k,
                    size_t queries) {
   std::vector<float> q(ctx.model().head_dim);
   SearchResult res;

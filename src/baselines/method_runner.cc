@@ -168,8 +168,8 @@ Status MethodRunner::AttendHead(uint32_t layer, uint32_t q_head, const float* q,
         hints.prior_best_ip = window_.MaxWindowInnerProduct(q, keys, n);
         local.search.dist_comps += window_ids.size();
       }
-      SearchResult res = DiprsSearch(fine->graph(), fine->vectors(),
-                                     fine->EntryPoint(q), q, params, hints);
+      SearchResult res = DiprsSearch(fine->graph(), fine->vectors(), fine->EntryPoint(),
+                                     q, params, IdFilter{}, hints);
       local.search += res.stats;
       for (const ScoredId& h : res.hits) {
         if (!window_.Contains(h.id, n)) retrieved_ids.push_back(h.id);

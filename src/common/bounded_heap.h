@@ -61,42 +61,4 @@ class TopKMaxHeap {
   std::vector<ScoredId> heap_;
 };
 
-/// A fixed-capacity sorted candidate pool (best-first search frontier), as used
-/// by HNSW-style beam search: keeps the ef closest candidates in ascending
-/// "cost" (we store -inner_product as cost so larger ip == better).
-class BeamPool {
- public:
-  explicit BeamPool(size_t capacity) : capacity_(capacity) { pool_.reserve(capacity + 1); }
-
-  /// Inserts if the pool is not full or score beats the current worst.
-  /// Returns the position inserted at, or SIZE_MAX when rejected.
-  size_t Insert(uint32_t id, float score) {
-    if (full() && score <= pool_.back().score) return SIZE_MAX;
-    // Binary search insertion position (descending by score).
-    size_t lo = 0, hi = pool_.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (pool_[mid].score >= score) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    pool_.insert(pool_.begin() + lo, ScoredId{id, score});
-    if (pool_.size() > capacity_) pool_.pop_back();
-    return lo;
-  }
-
-  bool full() const { return pool_.size() >= capacity_; }
-  size_t size() const { return pool_.size(); }
-  const ScoredId& operator[](size_t i) const { return pool_[i]; }
-  const std::vector<ScoredId>& entries() const { return pool_; }
-  float WorstScore() const { return pool_.empty() ? -1e30f : pool_.back().score; }
-  float BestScore() const { return pool_.empty() ? -1e30f : pool_.front().score; }
-
- private:
-  size_t capacity_;
-  std::vector<ScoredId> pool_;  // Sorted by descending score.
-};
-
 }  // namespace alaya

@@ -21,6 +21,18 @@ std::vector<int32_t> ComposeTokens(const Context* reused, size_t reused_prefix,
   return tokens;
 }
 
+/// The option checks every session entry point runs before building a Session.
+Status ValidateSessionOptions(const DbOptions& options) {
+  ALAYA_RETURN_IF_ERROR(options.model.Validate());
+  // A negative DIPR beta selects no key. The flat scan (layer 0) rejects it
+  // while graph DIPRS (deeper layers) would silently retrieve nothing, so
+  // reject it once, up front.
+  if (!(options.session.optimizer.dipr.beta >= 0.f)) {
+    return Status::InvalidArgument("session.optimizer.dipr.beta must be >= 0");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 AlayaDB::AlayaDB(const DbOptions& options, SimEnvironment* env)
@@ -55,7 +67,7 @@ ThreadPool* AlayaDB::MaterializePool() const {
 
 Result<AlayaDB::SessionCreation> AlayaDB::CreateSession(
     const std::vector<int32_t>& prompt, int device) {
-  ALAYA_RETURN_IF_ERROR(options_.model.Validate());
+  ALAYA_RETURN_IF_ERROR(ValidateSessionOptions(options_));
   device = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(std::max(device, 0)), env_->num_devices() - 1));
   SessionCreation out;
@@ -111,7 +123,7 @@ Result<AlayaDB::SessionCreation> AlayaDB::CreateSession(
 Result<AlayaDB::SessionResume> AlayaDB::ResumeSession(uint64_t context_id,
                                                       size_t reused_prefix,
                                                       int device) {
-  ALAYA_RETURN_IF_ERROR(options_.model.Validate());
+  ALAYA_RETURN_IF_ERROR(ValidateSessionOptions(options_));
   device = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(std::max(device, 0)), env_->num_devices() - 1));
   SessionResume out;

@@ -7,7 +7,6 @@
 #include "src/common/timer.h"
 #include "src/common/vector_codec.h"
 #include "src/index/flat_index.h"
-#include "src/index/graph_search.h"
 #include "src/query/diprs.h"
 #include "src/query/sharded_attention.h"
 
@@ -124,8 +123,9 @@ Status Session::Attention(uint32_t layer, const float* q, float* out,
     const size_t off = static_cast<size_t>(h) * config_.head_dim;
     ALAYA_RETURN_IF_ERROR(AttendHead(layer, h, q + off, out + off, &head_stats));
     total.Add(head_stats);
-    total.plan_explain = head_stats.plan_explain;
   }
+  // Every head of a layer runs the same plan; format it once per layer.
+  total.plan_explain = optimizer_.Plan(MakeQueryContext(layer)).Explain();
   ChargeModeledGpuSeconds(total.modeled_gpu_seconds);
   if (stats != nullptr) *stats = total;
   return Status::Ok();
@@ -214,7 +214,6 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
   VectorSetView loc_vals = local_.Values(layer, kv_head);
 
   const QueryPlan plan = optimizer_.Plan(MakeQueryContext(layer));
-  stats->plan_explain = plan.Explain();
 
   PartialAttention state(d);
 
@@ -277,8 +276,7 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
       case IndexClass::kCoarse: {
         const CoarseIndex* coarse = context_->CoarseIdx(layer, kv_head);
         if (coarse != nullptr) {
-          ALAYA_RETURN_IF_ERROR(
-              coarse->SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
+          ALAYA_RETURN_IF_ERROR(coarse->SearchTopK(qh, plan.topk, &retrieved, filter));
           break;
         }
         [[fallthrough]];  // No coarse index built: degrade to fine/flat.
@@ -289,15 +287,10 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
           DiprsHints hints;
           if (options_.use_window_dipr_hint) hints.prior_best_ip = prior;
           if (plan.query == QueryClass::kDipr) {
-            retrieved = filter.enabled()
-                            ? DiprsSearchFiltered(fine->graph(), fine->scoring(),
-                                                  fine->EntryPoint(qh), qh, plan.dipr,
-                                                  filter, hints)
-                            : DiprsSearch(fine->graph(), fine->scoring(),
-                                          fine->EntryPoint(qh), qh, plan.dipr, hints);
+            retrieved = DiprsSearch(fine->graph(), fine->scoring(), fine->EntryPoint(),
+                                    qh, plan.dipr, filter, hints);
           } else {
-            ALAYA_RETURN_IF_ERROR(
-                fine->SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
+            ALAYA_RETURN_IF_ERROR(fine->SearchTopK(qh, plan.topk, &retrieved, filter));
           }
           break;
         }
@@ -306,11 +299,9 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
       case IndexClass::kFlat: {
         FlatIndex flat(ctx_keys);
         if (plan.query == QueryClass::kDipr) {
-          ALAYA_RETURN_IF_ERROR(
-              flat.SearchDiprFiltered(qh, plan.dipr, filter, &retrieved));
+          ALAYA_RETURN_IF_ERROR(flat.SearchDipr(qh, plan.dipr, &retrieved, filter));
         } else {
-          ALAYA_RETURN_IF_ERROR(
-              flat.SearchTopKFiltered(qh, plan.topk, filter, &retrieved));
+          ALAYA_RETURN_IF_ERROR(flat.SearchTopK(qh, plan.topk, &retrieved, filter));
         }
         break;
       }

@@ -45,7 +45,7 @@ struct AttentionCallStats {
   double search_seconds = 0;
   double attention_seconds = 0;
   double modeled_gpu_seconds = 0;  ///< Charged device time (window part, transfers).
-  std::string plan_explain;        ///< Plan of the last head (all heads agree).
+  std::string plan_explain;        ///< The layer's plan (set by Attention only).
 
   void Add(const AttentionCallStats& o) {
     retrieved_tokens += o.retrieved_tokens;

@@ -118,13 +118,7 @@ float CoarseIndex::BlockScore(const float* q, size_t blk) const {
 }
 
 Status CoarseIndex::SearchTopK(const float* q, const TopKParams& params,
-                               SearchResult* out) const {
-  return SearchTopKFiltered(q, params, IdFilter{}, out);
-}
-
-Status CoarseIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
-                                       const IdFilter& filter,
-                                       SearchResult* out) const {
+                               SearchResult* out, const IdFilter& filter) const {
   if (q == nullptr || out == nullptr) {
     return Status::InvalidArgument("null query/output");
   }
@@ -139,8 +133,8 @@ Status CoarseIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
     const uint32_t first_id = static_cast<uint32_t>(blk * b);
     if (filter.enabled() && !filter.Pass(first_id)) continue;
     block_heap.Push(static_cast<uint32_t>(blk), BlockScore(q, blk));
+    out->stats.dist_comps++;
   }
-  out->stats.dist_comps += num_blocks_;
 
   auto blocks = block_heap.TakeSortedDesc();
   for (const auto& blk_hit : blocks) {
@@ -154,15 +148,6 @@ Status CoarseIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
     }
   }
   return Status::Ok();
-}
-
-Status CoarseIndex::SearchDipr(const float*, const DiprParams&, SearchResult*) const {
-  return Status::NotSupported("coarse index cannot process DIPR queries (Table 4)");
-}
-
-Status CoarseIndex::SearchDiprFiltered(const float*, const DiprParams&, const IdFilter&,
-                                       SearchResult*) const {
-  return Status::NotSupported("coarse index cannot process DIPR queries (Table 4)");
 }
 
 }  // namespace alaya

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "src/common/status.h"
 #include "src/device/memory_tracker.h"
 #include "src/index/index.h"
 
@@ -31,31 +32,24 @@ struct CoarseIndexOptions {
   uint32_t bytes_per_token_kv = 0;
 };
 
-class CoarseIndex final : public VectorIndex {
+/// Answers top-k only: DIPR needs per-key decisions, which block granularity
+/// cannot provide (Table 4: coarse supports Top-k and Filter only), so there
+/// is no SearchDipr.
+class CoarseIndex {
  public:
   /// Builds block summaries over the given keys. The view must outlive the
   /// index (the KV cache owns the vectors).
   CoarseIndex(VectorSetView keys, const CoarseIndexOptions& options);
-  ~CoarseIndex() override;
+  ~CoarseIndex();
 
-  IndexClass index_class() const override { return IndexClass::kCoarse; }
-  size_t size() const override { return keys_.n; }
-  uint64_t MemoryBytes() const override;
+  size_t size() const { return keys_.n; }
+  uint64_t MemoryBytes() const;
 
-  /// Top-k semantics: selects ceil(k / block_size) best blocks and returns all
-  /// of their tokens (so |hits| is k rounded up to block granularity).
-  Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
-
-  /// DIPR needs per-key decisions; a coarse index cannot provide them
-  /// (Table 4: coarse supports Top-k and Filter only).
-  Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+  /// Top-k semantics: selects ceil(k / block_size) best blocks among those
+  /// whose first token passes `filter` and returns all of their passing
+  /// tokens (so |hits| is k rounded up to block granularity).
+  Status SearchTopK(const float* q, const TopKParams& params, SearchResult* out,
+                    const IdFilter& filter = {}) const;
 
   size_t num_blocks() const { return num_blocks_; }
   uint32_t block_size() const { return options_.block_size; }

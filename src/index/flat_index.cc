@@ -8,12 +8,7 @@
 namespace alaya {
 
 Status FlatIndex::SearchTopK(const float* q, const TopKParams& params,
-                             SearchResult* out) const {
-  return SearchTopKFiltered(q, params, IdFilter{}, out);
-}
-
-Status FlatIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
-                                     const IdFilter& filter, SearchResult* out) const {
+                             SearchResult* out, const IdFilter& filter) const {
   if (q == nullptr || out == nullptr) {
     return Status::InvalidArgument("null query/output");
   }
@@ -31,12 +26,7 @@ Status FlatIndex::SearchTopKFiltered(const float* q, const TopKParams& params,
 }
 
 Status FlatIndex::SearchDipr(const float* q, const DiprParams& params,
-                             SearchResult* out) const {
-  return SearchDiprFiltered(q, params, IdFilter{}, out);
-}
-
-Status FlatIndex::SearchDiprFiltered(const float* q, const DiprParams& params,
-                                     const IdFilter& filter, SearchResult* out) const {
+                             SearchResult* out, const IdFilter& filter) const {
   if (q == nullptr || out == nullptr) {
     return Status::InvalidArgument("null query/output");
   }

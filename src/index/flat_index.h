@@ -5,11 +5,12 @@
 // layer 1, Fig. 8).
 #pragma once
 
+#include "src/common/status.h"
 #include "src/index/index.h"
 
 namespace alaya {
 
-class FlatIndex final : public VectorIndex {
+class FlatIndex {
  public:
   /// The index holds a *view*: the caller (KV cache) owns the vectors and must
   /// outlive the index. Flat scans always see the current view.
@@ -18,18 +19,15 @@ class FlatIndex final : public VectorIndex {
   /// Rebinds to a grown vector set (cheap; flat index has no state to update).
   void Rebind(VectorSetView view) { view_ = view; }
 
-  IndexClass index_class() const override { return IndexClass::kFlat; }
-  size_t size() const override { return view_.n; }
-  uint64_t MemoryBytes() const override { return 0; }  // No structure beyond the data.
+  size_t size() const { return view_.n; }
 
-  Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
-  Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+  /// Exact top-k over the keys passing `filter`.
+  Status SearchTopK(const float* q, const TopKParams& params, SearchResult* out,
+                    const IdFilter& filter = {}) const;
+  /// Exact DIPR over the keys passing `filter` (the oracle graph DIPRS is
+  /// tested against).
+  Status SearchDipr(const float* q, const DiprParams& params, SearchResult* out,
+                    const IdFilter& filter = {}) const;
 
  private:
   VectorSetView view_;

@@ -1,12 +1,11 @@
-// Fixed-max-degree adjacency storage shared by the graph indices.
+// Fixed-max-degree adjacency storage: the fine index's (RoarGraph) graph,
+// walked by beam search (graph_search.h) and DIPRS (src/query/diprs.h).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "src/index/vector_set.h"
 
 namespace alaya {
 
@@ -22,13 +21,6 @@ class AdjacencyGraph {
     r_ = max_degree;
     degrees_.assign(n, 0);
     adj_.assign(static_cast<size_t>(n) * r_, 0);
-  }
-
-  /// Appends one node (degree 0); returns its id.
-  uint32_t AddNode() {
-    degrees_.push_back(0);
-    adj_.resize(adj_.size() + r_, 0);
-    return n_++;
   }
 
   std::span<const uint32_t> Neighbors(uint32_t u) const {
@@ -79,20 +71,6 @@ class AdjacencyGraph {
   uint32_t r_ = 0;
   std::vector<uint32_t> degrees_;
   std::vector<uint32_t> adj_;
-};
-
-/// A graph index searchable by the query-layer algorithms (top-k beam search,
-/// DIPRS, filtered DIPRS). Concrete types: RoarGraph, Hnsw (base layer).
-class SearchableGraph {
- public:
-  virtual ~SearchableGraph() = default;
-
-  virtual const AdjacencyGraph& graph() const = 0;
-  virtual VectorSetView vectors() const = 0;
-
-  /// A good starting node for query q (e.g., HNSW upper-layer descent or a
-  /// fixed medoid/max-norm entry).
-  virtual uint32_t EntryPoint(const float* q) const = 0;
 };
 
 }  // namespace alaya

@@ -62,36 +62,4 @@ SearchResult GraphBeamSearch(const AdjacencyGraph& graph,
   return out;
 }
 
-SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, const TopKParams& params,
-                       VisitedSet* visited) {
-  SearchResult res =
-      GraphBeamSearch(graph, vectors, entry, q, params.EffectiveEf(), visited);
-  if (res.hits.size() > params.k) res.hits.resize(params.k);
-  return res;
-}
-
-uint32_t GreedyDescend(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, SearchStats* stats) {
-  const QueryScorer scorer(vectors, q);
-  uint32_t cur = entry;
-  float cur_score = scorer.Score(cur);
-  if (stats) stats->dist_comps++;
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (uint32_t v : graph.Neighbors(cur)) {
-      const float s = scorer.Score(v);
-      if (stats) stats->dist_comps++;
-      if (s > cur_score) {
-        cur_score = s;
-        cur = v;
-        improved = true;
-      }
-    }
-    if (stats) stats->hops++;
-  }
-  return cur;
-}
-
 }  // namespace alaya

@@ -1,6 +1,7 @@
 // Generic best-first (beam) search over an adjacency graph, maximizing inner
-// product. Used by index construction (connectivity enhancement), the top-k
-// query type, and as the skeleton DIPRS builds on.
+// product. Used by RoarGraph construction (suffix insertion, connectivity
+// enhancement) and its top-k query. DIPR queries walk the graph with DIPRS
+// instead (src/query/diprs.h).
 #pragma once
 
 #include "src/common/vector_codec.h"
@@ -22,15 +23,5 @@ SearchResult GraphBeamSearch(const AdjacencyGraph& graph,
                              const ScoringView& vectors, uint32_t entry,
                              const float* q, size_t ef,
                              VisitedSet* visited = nullptr);
-
-/// Beam search returning only the top k of an ef-wide beam.
-SearchResult GraphTopK(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, const TopKParams& params,
-                       VisitedSet* visited = nullptr);
-
-/// Greedy 1-best descent (used by HNSW upper layers): repeatedly moves to the
-/// best-scoring neighbor until no improvement.
-uint32_t GreedyDescend(const AdjacencyGraph& graph, const ScoringView& vectors,
-                       uint32_t entry, const float* q, SearchStats* stats = nullptr);
 
 }  // namespace alaya

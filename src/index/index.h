@@ -1,17 +1,19 @@
-// Vector index interfaces and search parameter/result types.
+// Search parameter/result types shared by the three index classes.
 //
 // The query optimizer (Fig. 8) chooses among three index classes:
-//   - kFlat:   scan all keys (sequential memory access, O(n))
+//   - kFlat:   scan all keys (sequential memory access, O(n))   -> FlatIndex
 //   - kCoarse: block-grained selection, blocks cached on (simulated) GPU
-//   - kFine:   per-key graph index (RoarGraph / HNSW), searched on CPU
+//                                                                -> CoarseIndex
+//   - kFine:   per-key graph index, searched on CPU              -> RoarGraph
+//
+// Each index answers only the queries Table 4 allows it: all three have
+// SearchTopK, and only flat and fine have SearchDipr. Every search takes an
+// optional trailing IdFilter (attribute filtering, §7.1).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/common/vec_math.h"
 #include "src/index/vector_set.h"
 
@@ -74,33 +76,6 @@ struct SearchResult {
     hits.clear();
     stats = SearchStats{};
   }
-};
-
-/// Abstract per-head vector index over key vectors.
-class VectorIndex {
- public:
-  virtual ~VectorIndex() = default;
-
-  virtual IndexClass index_class() const = 0;
-  /// Number of indexed vectors.
-  virtual size_t size() const = 0;
-  /// Bytes of index structure (excluding the raw vectors it points into).
-  virtual uint64_t MemoryBytes() const = 0;
-
-  /// Retrieves (approximately) the k keys with the largest inner product.
-  virtual Status SearchTopK(const float* q, const TopKParams& params,
-                            SearchResult* out) const = 0;
-
-  /// Retrieves the DIPR critical set (Definition 3). Indices that cannot
-  /// process DIPR (coarse) return NotSupported, matching Table 4.
-  virtual Status SearchDipr(const float* q, const DiprParams& params,
-                            SearchResult* out) const = 0;
-
-  /// Filtered variants restrict results to ids passing `filter`.
-  virtual Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                                    const IdFilter& filter, SearchResult* out) const = 0;
-  virtual Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                                    const IdFilter& filter, SearchResult* out) const = 0;
 };
 
 }  // namespace alaya

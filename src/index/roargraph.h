@@ -13,6 +13,7 @@
 
 #include <memory>
 
+#include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/common/vector_codec.h"
 #include "src/index/graph_common.h"
@@ -40,12 +41,12 @@ struct RoarGraphOptions {
   size_t rerank_k = 32;
 };
 
-class RoarGraph final : public VectorIndex, public SearchableGraph {
+class RoarGraph {
  public:
   /// The key vectors are owned by the caller (KV cache) and must outlive the
   /// index. Call one of the Build methods before searching.
   RoarGraph(VectorSetView keys, const RoarGraphOptions& options);
-  ~RoarGraph() override;
+  ~RoarGraph();
 
   /// Full pipeline: exact bipartite kNN from `queries`, then projection and
   /// connectivity enhancement.
@@ -73,25 +74,21 @@ class RoarGraph final : public VectorIndex, public SearchableGraph {
 
   bool built() const { return built_; }
 
-  // --- VectorIndex ---
-  IndexClass index_class() const override { return IndexClass::kFine; }
-  size_t size() const override { return keys_.n; }
-  uint64_t MemoryBytes() const override {
-    return graph_.MemoryBytes() + coded_.MemoryBytes();
-  }
-  Status SearchTopK(const float* q, const TopKParams& params,
-                    SearchResult* out) const override;
-  Status SearchDipr(const float* q, const DiprParams& params,
-                    SearchResult* out) const override;
-  Status SearchTopKFiltered(const float* q, const TopKParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
-  Status SearchDiprFiltered(const float* q, const DiprParams& params,
-                            const IdFilter& filter, SearchResult* out) const override;
+  size_t size() const { return keys_.n; }
+  uint64_t MemoryBytes() const { return graph_.MemoryBytes() + coded_.MemoryBytes(); }
 
-  // --- SearchableGraph ---
-  const AdjacencyGraph& graph() const override { return graph_; }
-  VectorSetView vectors() const override { return keys_; }
-  uint32_t EntryPoint(const float* /*q*/) const override { return entry_; }
+  /// Beam search of width params.EffectiveEf(), truncated to the best k; hits
+  /// failing `filter` are dropped after the truncation.
+  Status SearchTopK(const float* q, const TopKParams& params, SearchResult* out,
+                    const IdFilter& filter = {}) const;
+  /// DIPRS (Algorithm 1) from the entry point; see DiprsSearch.
+  Status SearchDipr(const float* q, const DiprParams& params, SearchResult* out,
+                    const IdFilter& filter = {}) const;
+
+  const AdjacencyGraph& graph() const { return graph_; }
+  VectorSetView vectors() const { return keys_; }
+  /// The max-norm key every search starts from.
+  uint32_t EntryPoint() const { return entry_; }
 
   /// What searches score on: fp32 keys plus the coded sidecar when the index
   /// was built with a non-fp32 codec (empty sidecar == exact scoring).

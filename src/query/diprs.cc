@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 namespace alaya {
 
@@ -54,7 +55,8 @@ SearchResult Finalize(DiprsState* st, const DiprParams& params,
 
 SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors,
                          uint32_t entry, const float* q, const DiprParams& params,
-                         const DiprsHints& hints, VisitedSet* visited) {
+                         const IdFilter& filter, const DiprsHints& hints,
+                         VisitedSet* visited) {
   SearchResult empty;
   if (graph.size() == 0) return empty;
 
@@ -71,56 +73,9 @@ SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors
 
   const QueryScorer scorer(vectors, q);
 
-  // Line 1: initialize C with the start key.
-  visited->Visit(entry);
-  const float entry_ip = scorer.Score(entry);
-  st.stats.dist_comps++;
-  st.c.push_back({entry, entry_ip});
-  if (entry_ip > st.best_ip) st.best_ip = entry_ip;
-
-  // Lines 3-7: sweep C in insertion order; C grows during the sweep.
-  for (size_t i = 0; i < st.c.size(); ++i) {
-    if (hints.max_explored > 0 && st.c.size() >= hints.max_explored) break;
-    const uint32_t u = st.c[i].id;
-    st.stats.hops++;
-    for (uint32_t v : graph.Neighbors(u)) {
-      if (!visited->Visit(v)) continue;
-      const float ip = scorer.Score(v);
-      st.stats.dist_comps++;
-      TryAppend(v, ip, &st);
-    }
-  }
-
-  // Lines 8-9: keep candidates within beta of the best inner product found.
-  return Finalize(&st, params, vectors, q);
-}
-
-SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
-                                 const ScoringView& vectors,
-                                 uint32_t entry, const float* q,
-                                 const DiprParams& params, const IdFilter& filter,
-                                 const DiprsHints& hints, VisitedSet* visited) {
-  if (!filter.enabled()) {
-    return DiprsSearch(graph, vectors, entry, q, params, hints, visited);
-  }
-  SearchResult empty;
-  if (graph.size() == 0) return empty;
-
-  VisitedSet local;
-  if (visited == nullptr) visited = &local;
-  visited->Resize(graph.size());
-  visited->Reset();
-
-  DiprsState st;
-  st.beta = params.beta;
-  st.l0 = params.l0;
-  st.max_explored = hints.max_explored;
-  st.best_ip = hints.prior_best_ip;
-
-  const QueryScorer scorer(vectors, q);
-
-  // Seed C with passing nodes. If the entry fails the predicate, BFS through
-  // the graph (bounded) until a few passing seeds are found.
+  // Line 1: initialize C with the start key. If the entry fails the
+  // predicate, BFS through the graph (bounded) until a few passing seeds are
+  // found.
   visited->Visit(entry);
   if (filter.Pass(entry)) {
     const float ip = scorer.Score(entry);
@@ -151,12 +106,17 @@ SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
     if (st.c.empty()) return empty;  // Predicate selects nothing reachable.
   }
 
-  // Main sweep with bridged expansion through filtered-out nodes (§7.1,
-  // after ACORN [49]): a neighbor v failing the predicate becomes a "bridge"
-  // whose own neighborhood is inspected, breadth-first with a bounded drain
-  // per candidate, so connectivity survives even low-selectivity predicates
-  // (e.g. a 20% reuse ratio) without scanning the whole graph.
-  std::deque<uint32_t> bridges;
+  // Lines 3-7: sweep C in insertion order; C grows during the sweep.
+  //
+  // Bridged expansion through filtered-out nodes (§7.1, after ACORN [49]): a
+  // neighbor v failing the predicate becomes a "bridge" whose own
+  // neighborhood is inspected, breadth-first with a bounded drain per
+  // candidate, so connectivity survives even low-selectivity predicates
+  // (e.g. a 20% reuse ratio) without scanning the whole graph. Without a
+  // filter no node is a bridge, so the queue (which allocates on
+  // construction) is never built.
+  std::optional<std::deque<uint32_t>> bridges;
+  if (filter.enabled()) bridges.emplace();
   const size_t kBridgeDrainPerHop = 48;
   for (size_t i = 0; i < st.c.size(); ++i) {
     if (hints.max_explored > 0 && st.c.size() >= hints.max_explored) break;
@@ -169,13 +129,14 @@ SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
         st.stats.dist_comps++;
         TryAppend(v, ip, &st);
       } else {
-        bridges.push_back(v);
+        bridges->push_back(v);
       }
     }
+    if (!bridges) continue;
     size_t drained = 0;
-    while (!bridges.empty() && drained < kBridgeDrainPerHop) {
-      const uint32_t b = bridges.front();
-      bridges.pop_front();
+    while (!bridges->empty() && drained < kBridgeDrainPerHop) {
+      const uint32_t b = bridges->front();
+      bridges->pop_front();
       ++drained;
       st.stats.hops++;
       for (uint32_t w : graph.Neighbors(b)) {
@@ -185,12 +146,13 @@ SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
           st.stats.dist_comps++;
           TryAppend(w, ip, &st);
         } else {
-          bridges.push_back(w);
+          bridges->push_back(w);
         }
       }
     }
   }
 
+  // Lines 8-9: keep candidates within beta of the best inner product found.
   return Finalize(&st, params, vectors, q);
 }
 

@@ -35,20 +35,16 @@ struct DiprsHints {
 /// `vectors` is a ScoringView: a bare VectorSetView scores exactly on fp32
 /// (every historical call site); attaching a CodedVectorSet traverses on the
 /// quantized codes and re-scores the top rerank_k survivors against fp32.
+///
+/// An enabled `filter` gives attribute-filtered DIPRS for partial context
+/// reuse (§7.1): only tokens passing it are candidates; traversal additionally
+/// inspects 2-hop neighbors through filtered-out nodes (ACORN-style) so graph
+/// connectivity survives the predicate. A disabled filter passes every node,
+/// so the walk reduces to the unfiltered Algorithm 1.
 SearchResult DiprsSearch(const AdjacencyGraph& graph, const ScoringView& vectors,
                          uint32_t entry, const float* q, const DiprParams& params,
+                         const IdFilter& filter = {},
                          const DiprsHints& hints = DiprsHints{},
                          VisitedSet* visited = nullptr);
-
-/// Attribute-filtered DIPRS for partial context reuse (§7.1): only tokens
-/// passing `filter` are candidates; traversal additionally inspects 2-hop
-/// neighbors through filtered-out nodes (ACORN-style) so graph connectivity
-/// survives the predicate.
-SearchResult DiprsSearchFiltered(const AdjacencyGraph& graph,
-                                 const ScoringView& vectors,
-                                 uint32_t entry, const float* q,
-                                 const DiprParams& params, const IdFilter& filter,
-                                 const DiprsHints& hints = DiprsHints{},
-                                 VisitedSet* visited = nullptr);
 
 }  // namespace alaya

@@ -1,13 +1,10 @@
 // Query classes supported by the query processing engine (Fig. 3, §6.2).
 //
-// Both query types and index types are extensible registries: the optimizer
-// consults SupportMatrix() (Table 4) instead of hard-coding pairs, so new
-// query/index classes can be slotted in.
+// Table 4 (which index answers which query) is enforced by the index types
+// themselves: every index has SearchTopK, and only FlatIndex and RoarGraph
+// have SearchDipr. RuleBasedOptimizer (optimizer.h) pairs each query class
+// with an index class that answers it.
 #pragma once
-
-#include <string>
-
-#include "src/index/index.h"
 
 namespace alaya {
 
@@ -17,13 +14,5 @@ enum class QueryClass : int {
   kTopK = 1,           ///< Traditional fixed-k retrieval.
   kDipr = 2,           ///< Dynamic inner-product range (Definition 3).
 };
-
-const char* QueryClassName(QueryClass c);
-
-/// Table 4: which index types can process which query types.
-bool IndexSupportsQuery(IndexClass index, QueryClass query);
-
-/// Table 4: whether the index supports attribute filtering (all three do).
-bool IndexSupportsFilter(IndexClass index);
 
 }  // namespace alaya

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/index/graph_common.h"
+#include "src/index/vector_set.h"
 #include "src/storage/vector_file.h"
 
 namespace alaya {

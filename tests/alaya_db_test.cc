@@ -73,6 +73,20 @@ TEST(AlayaDbTest, PartialPrefixReuse) {
   EXPECT_TRUE(created.value().session->partial_reuse());
 }
 
+TEST(AlayaDbTest, NegativeDiprBetaIsRejected) {
+  // Every layer must agree on an invalid beta: the flat scan (layer 0) would
+  // reject it and graph DIPRS (deeper layers) would silently retrieve nothing.
+  DbFixture fx;
+  fx.options.session.optimizer.dipr.beta = -1.f;
+  AlayaDB db(fx.options, &fx.env);
+  auto imported = db.Import(fx.TokenRange(100, 200), fx.MakeKv(200, 4));
+  ASSERT_TRUE(imported.ok());
+  auto created = db.CreateSession(fx.TokenRange(100, 210));
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  auto resumed = db.ResumeSession(imported.value(), 200);
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(AlayaDbTest, NoMatchCreatesFreshSession) {
   DbFixture fx;
   AlayaDB db(fx.options, &fx.env);

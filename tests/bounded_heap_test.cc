@@ -59,29 +59,5 @@ TEST(TopKMaxHeapTest, WouldAcceptConsistentWithPush) {
   EXPECT_FLOAT_EQ(heap.MinRetained(), 2.f);
 }
 
-TEST(BeamPoolTest, KeepsSortedDescending) {
-  BeamPool pool(4);
-  pool.Insert(0, 1.f);
-  pool.Insert(1, 5.f);
-  pool.Insert(2, 3.f);
-  pool.Insert(3, 4.f);
-  pool.Insert(4, 2.f);  // Evicts the 1.0 entry.
-  ASSERT_EQ(pool.size(), 4u);
-  EXPECT_FLOAT_EQ(pool[0].score, 5.f);
-  EXPECT_FLOAT_EQ(pool[1].score, 4.f);
-  EXPECT_FLOAT_EQ(pool[2].score, 3.f);
-  EXPECT_FLOAT_EQ(pool[3].score, 2.f);
-  EXPECT_FLOAT_EQ(pool.BestScore(), 5.f);
-  EXPECT_FLOAT_EQ(pool.WorstScore(), 2.f);
-}
-
-TEST(BeamPoolTest, RejectsBelowWorstWhenFull) {
-  BeamPool pool(2);
-  pool.Insert(0, 10.f);
-  pool.Insert(1, 20.f);
-  EXPECT_EQ(pool.Insert(2, 5.f), SIZE_MAX);
-  EXPECT_EQ(pool.size(), 2u);
-}
-
 }  // namespace
 }  // namespace alaya

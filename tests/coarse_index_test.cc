@@ -84,20 +84,6 @@ TEST(CoarseIndexTest, KRoundsUpToBlockGranularity) {
   EXPECT_EQ(res.hits.size(), 16u);  // ceil(10/8) = 2 blocks.
 }
 
-TEST(CoarseIndexTest, DiprNotSupported) {
-  VectorSet set = MakePlantedSet(16, 8, 0);
-  CoarseIndexOptions opts;
-  opts.block_size = 8;
-  CoarseIndex index(set.View(), opts);
-  std::vector<float> q(16, 1.f);
-  SearchResult res;
-  DiprParams params;
-  Status s = index.SearchDipr(q.data(), params, &res);
-  EXPECT_EQ(s.code(), StatusCode::kNotSupported);
-  EXPECT_EQ(index.SearchDiprFiltered(q.data(), params, IdFilter{}, &res).code(),
-            StatusCode::kNotSupported);
-}
-
 TEST(CoarseIndexTest, FilterSkipsBlocksBeyondPrefix) {
   VectorSet set = MakePlantedSet(16, 8, 9);  // Hot block is the last one.
   CoarseIndexOptions opts;
@@ -108,8 +94,9 @@ TEST(CoarseIndexTest, FilterSkipsBlocksBeyondPrefix) {
   IdFilter filter;
   filter.prefix_len = 40;  // Blocks 0..4 only.
   SearchResult res;
-  ASSERT_TRUE(index.SearchTopKFiltered(q.data(), TopKParams{8, 0}, filter, &res).ok());
+  ASSERT_TRUE(index.SearchTopK(q.data(), TopKParams{8, 0}, &res, filter).ok());
   for (const auto& h : res.hits) EXPECT_LT(h.id, 40u);
+  EXPECT_EQ(res.stats.dist_comps, 5u);  // Only the 5 blocks the filter keeps.
 }
 
 TEST(CoarseIndexTest, GpuMemoryAccounting) {

@@ -22,6 +22,13 @@ struct DiprsFixture {
     Status st = graph.BuildFromQueries(training.View());
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
+
+  /// DIPRS for the planted query from the graph's entry point.
+  SearchResult Search(const DiprParams& params, const IdFilter& filter = {},
+                      const DiprsHints& hints = {}) const {
+    return DiprsSearch(graph.graph(), data.keys.View(), graph.EntryPoint(),
+                       data.query.data(), params, filter, hints);
+  }
 };
 
 TEST(DiprsTest, RecallsPlantedCriticalSet) {
@@ -30,9 +37,7 @@ TEST(DiprsTest, RecallsPlantedCriticalSet) {
   // Band is 25% of |q|=40 -> 10; small margin for jitter.
   params.beta = 11.f;
   params.l0 = 128;
-  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
-                                 fx.data.query.data(), params);
+  SearchResult res = fx.Search(params);
   EXPECT_GE(fx.data.Recall(res.hits), 0.9) << "hits=" << res.hits.size();
   EXPECT_GT(res.stats.hops, 0u);
   EXPECT_GT(res.stats.dist_comps, 0u);
@@ -47,9 +52,7 @@ TEST(DiprsTest, ReturnsSupersetNearFlatOracle) {
   FlatIndex flat(fx.data.keys.View());
   SearchResult oracle;
   ASSERT_TRUE(flat.SearchDipr(fx.data.query.data(), params, &oracle).ok());
-  SearchResult got = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
-                                 fx.data.query.data(), params);
+  SearchResult got = fx.Search(params);
   // At least 85% of the oracle's ids found.
   std::vector<bool> found(3000, false);
   for (const auto& h : got.hits) found[h.id] = true;
@@ -67,12 +70,8 @@ TEST(DiprsTest, DynamicSizeAdaptsToCriticalCount) {
   DiprsFixture large(3000, 32, 300, 19);
   DiprParams params;
   params.beta = 11.f;
-  SearchResult rs = DiprsSearch(small.graph.graph(), small.data.keys.View(),
-                                small.graph.EntryPoint(small.data.query.data()),
-                                small.data.query.data(), params);
-  SearchResult rl = DiprsSearch(large.graph.graph(), large.data.keys.View(),
-                                large.graph.EntryPoint(large.data.query.data()),
-                                large.data.query.data(), params);
+  SearchResult rs = small.Search(params);
+  SearchResult rl = large.Search(params);
   EXPECT_LT(rs.hits.size(), rl.hits.size());
   EXPECT_GT(rl.hits.size(), 150u);
 }
@@ -81,14 +80,10 @@ TEST(DiprsTest, WindowHintPrunesExploration) {
   DiprsFixture fx(4000, 32, 80, 23);
   DiprParams params;
   params.beta = 11.f;
-  SearchResult plain = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                   fx.graph.EntryPoint(fx.data.query.data()),
-                                   fx.data.query.data(), params);
+  SearchResult plain = fx.Search(params);
   DiprsHints hints;
   hints.prior_best_ip = fx.data.ip_max;  // As if the max were window-cached.
-  SearchResult hinted = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                    fx.graph.EntryPoint(fx.data.query.data()),
-                                    fx.data.query.data(), params, hints);
+  SearchResult hinted = fx.Search(params, IdFilter{}, hints);
   EXPECT_LE(hinted.stats.appended, plain.stats.appended);
   EXPECT_GE(fx.data.Recall(hinted.hits), 0.85);
 }
@@ -98,9 +93,7 @@ TEST(DiprsTest, MaxTokensCapsResult) {
   DiprParams params;
   params.beta = 11.f;
   params.max_tokens = 10;
-  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
-                                 fx.data.query.data(), params);
+  SearchResult res = fx.Search(params);
   EXPECT_LE(res.hits.size(), 10u);
 }
 
@@ -110,9 +103,7 @@ TEST(DiprsTest, MaxExploredBoundsListGrowth) {
   params.beta = 11.f;
   DiprsHints hints;
   hints.max_explored = 50;
-  SearchResult res = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                 fx.graph.EntryPoint(fx.data.query.data()),
-                                 fx.data.query.data(), params, hints);
+  SearchResult res = fx.Search(params, IdFilter{}, hints);
   EXPECT_LE(res.stats.appended, 50u);
   EXPECT_LE(res.hits.size(), 50u);
 }
@@ -132,9 +123,7 @@ TEST(DiprsFilteredTest, RespectsPredicate) {
   params.l0 = 128;
   IdFilter filter;
   filter.prefix_len = 1500;
-  SearchResult res = DiprsSearchFiltered(fx.graph.graph(), fx.data.keys.View(),
-                                         fx.graph.EntryPoint(fx.data.query.data()),
-                                         fx.data.query.data(), params, filter);
+  SearchResult res = fx.Search(params, filter);
   for (const auto& h : res.hits) EXPECT_LT(h.id, 1500u);
   // Recall over the critical ids that pass the filter.
   size_t passing = 0, found = 0;
@@ -150,18 +139,61 @@ TEST(DiprsFilteredTest, RespectsPredicate) {
   EXPECT_GE(static_cast<double>(found) / passing, 0.7);
 }
 
+/// Exact ids (best-first) and work counters of one DIPRS call.
+struct DiprsGolden {
+  std::vector<uint32_t> ids;
+  uint64_t dist_comps, hops, appended;
+};
+
+void ExpectGolden(const SearchResult& res, const DiprsGolden& want) {
+  std::vector<uint32_t> ids;
+  for (const ScoredId& h : res.hits) ids.push_back(h.id);
+  EXPECT_EQ(ids, want.ids);
+  EXPECT_EQ(res.stats.dist_comps, want.dist_comps);
+  EXPECT_EQ(res.stats.hops, want.hops);
+  EXPECT_EQ(res.stats.appended, want.appended);
+}
+
+// Pins every search decision of the one DIPRS walk on a fixed fixture: the
+// unfiltered sweep, the window-hint prior, a filter the entry passes, and a
+// filter the entry fails (BFS seeding plus bridged expansion). A change to
+// the walk's visit order, pruning or accounting moves these numbers.
 TEST(DiprsFilteredTest, DisabledFilterEqualsPlain) {
   DiprsFixture fx(1500, 32, 50, 41);
   DiprParams params;
   params.beta = 11.f;
-  SearchResult plain = DiprsSearch(fx.graph.graph(), fx.data.keys.View(),
-                                   fx.graph.EntryPoint(fx.data.query.data()),
-                                   fx.data.query.data(), params);
-  SearchResult filtered = DiprsSearchFiltered(
-      fx.graph.graph(), fx.data.keys.View(),
-      fx.graph.EntryPoint(fx.data.query.data()), fx.data.query.data(), params,
-      IdFilter{});
-  EXPECT_EQ(plain.hits.size(), filtered.hits.size());
+  const AdjacencyGraph& graph = fx.graph.graph();
+  const VectorSetView keys = fx.data.keys.View();
+  const float* q = fx.data.query.data();
+  const uint32_t entry = fx.graph.EntryPoint();
+  ASSERT_EQ(entry, 134u);
+
+  const std::vector<uint32_t> all = {
+      1210, 1178, 1380, 1011, 1025, 19,   818,  107,  673,  1189, 786,  1327, 1278,
+      125,  719,  1054, 456,  252,  1354, 1213, 655,  432,  1442, 180,  649,  738,
+      957,  389,  134,  142,  478,  527,  1468, 1276, 804,  952,  460,  489,  73,
+      1030, 1050, 144,  868,  1099, 275,  814,  353,  701,  60,   176};
+  const DiprsGolden plain{all, 649, 71, 70};
+  ExpectGolden(DiprsSearch(graph, keys, entry, q, params), plain);
+  ExpectGolden(DiprsSearch(graph, keys, entry, q, params, IdFilter{}), plain);
+
+  // A window prior above every key's inner product prunes the sweep.
+  DiprsHints hints;
+  hints.prior_best_ip = fx.data.ip_max + 4.f;
+  ExpectGolden(DiprsSearch(graph, keys, entry, q, params, IdFilter{}, hints),
+               {std::vector<uint32_t>(all.begin(), all.begin() + 32), 541, 66, 65});
+
+  IdFilter entry_passes;
+  entry_passes.prefix_len = 750;
+  ExpectGolden(DiprsSearch(graph, keys, entry, q, params, entry_passes),
+               {{19,  107, 673, 125, 719, 456, 252, 655, 432, 180, 649, 738, 389,
+                 134, 142, 478, 527, 460, 489, 73,  144, 275, 353, 701, 60,  176},
+                446, 385, 64});
+
+  IdFilter entry_fails;
+  entry_fails.prefix_len = 64;
+  ExpectGolden(DiprsSearch(graph, keys, entry, q, params, entry_fails),
+               {{19, 60}, 29, 375, 25});
 }
 
 TEST(DiprsFilteredTest, EntryFailingPredicateStillSearches) {
@@ -172,9 +204,7 @@ TEST(DiprsFilteredTest, EntryFailingPredicateStillSearches) {
   params.beta = 1e9f;  // Everything within range; tests reachability only.
   IdFilter filter;
   filter.prefix_len = 64;
-  SearchResult res = DiprsSearchFiltered(fx.graph.graph(), fx.data.keys.View(),
-                                         fx.graph.EntryPoint(fx.data.query.data()),
-                                         fx.data.query.data(), params, filter);
+  SearchResult res = fx.Search(params, filter);
   EXPECT_GT(res.hits.size(), 0u);
   for (const auto& h : res.hits) EXPECT_LT(h.id, 64u);
 }
@@ -188,9 +218,7 @@ TEST_P(DiprsBetaSweep, CountRoughlyMonotoneInBeta) {
   DiprParams params;
   params.beta = GetParam();
   params.l0 = 128;
-  SearchResult res = DiprsSearch(fx->graph.graph(), fx->data.keys.View(),
-                                 fx->graph.EntryPoint(fx->data.query.data()),
-                                 fx->data.query.data(), params);
+  SearchResult res = fx->Search(params);
   // With beta below the band floor we retrieve a subset; at the band we
   // retrieve ~all planted criticals; sanity: non-empty, bounded.
   EXPECT_GE(res.hits.size(), 1u);

@@ -45,22 +45,6 @@ TEST(GraphSearchTest, BeamReturnsSortedTopEf) {
   }
 }
 
-TEST(GraphSearchTest, GraphTopKTruncates) {
-  RingFixture fx(50);
-  std::vector<float> q = {1.f, 0.f, 0.f, 0.f};
-  SearchResult res = GraphTopK(fx.graph, fx.keys.View(), 0, q.data(), TopKParams{3, 10});
-  EXPECT_EQ(res.hits.size(), 3u);
-}
-
-TEST(GraphSearchTest, GreedyDescendReachesLocalMax) {
-  RingFixture fx(30);
-  std::vector<float> q = {1.f, 0.f, 0.f, 0.f};
-  SearchStats stats;
-  const uint32_t end = GreedyDescend(fx.graph, fx.keys.View(), 0, q.data(), &stats);
-  EXPECT_EQ(end, 29u);
-  EXPECT_GT(stats.dist_comps, 0u);
-}
-
 TEST(GraphSearchTest, EmptyGraphAndZeroEf) {
   AdjacencyGraph g;
   VectorSetView empty;
@@ -100,14 +84,6 @@ TEST(AdjacencyGraphTest, SetNeighborsTruncatesAtCap) {
   auto nbrs = g.Neighbors(0);
   EXPECT_EQ(nbrs[0], 1u);
   EXPECT_EQ(nbrs[1], 2u);
-}
-
-TEST(AdjacencyGraphTest, AddNodeGrows) {
-  AdjacencyGraph g(2, 3);
-  const uint32_t id = g.AddNode();
-  EXPECT_EQ(id, 2u);
-  EXPECT_EQ(g.size(), 3u);
-  EXPECT_TRUE(g.AddEdge(2, 0));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/index/coarse_index.h"
+#include "src/index/flat_index.h"
+#include "src/index/roargraph.h"
+
 namespace alaya {
 namespace {
 
@@ -113,24 +117,26 @@ TEST(OptimizerTest, ExplainStrings) {
   EXPECT_NE(opt.Plan(ctx).Explain().find("attribute_filter"), std::string::npos);
 }
 
+/// Whether `Index` has a top-k / DIPR query at all.
+template <typename Index>
+concept AnswersTopK = requires(const Index& index, const float* q, const TopKParams& p,
+                               SearchResult* out) { index.SearchTopK(q, p, out); };
+template <typename Index>
+concept AnswersDipr = requires(const Index& index, const float* q, const DiprParams& p,
+                               SearchResult* out) { index.SearchDipr(q, p, out); };
+
 TEST(QueryTypesTest, SupportMatrixMatchesTable4) {
-  // Coarse: Top-k + Filter only. Fine/Flat: Top-k, Filter, DIPR.
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kCoarse, QueryClass::kTopK));
-  EXPECT_FALSE(IndexSupportsQuery(IndexClass::kCoarse, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kTopK));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsQuery(IndexClass::kFlat, QueryClass::kDipr));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kCoarse));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kFine));
-  EXPECT_TRUE(IndexSupportsFilter(IndexClass::kFlat));
-  EXPECT_FALSE(IndexSupportsQuery(IndexClass::kFine, QueryClass::kFullAttention));
+  // Coarse: Top-k (+ Filter) only; block granularity cannot answer the
+  // per-key DIPR predicate. Fine/Flat: Top-k, DIPR (+ Filter).
+  static_assert(AnswersTopK<CoarseIndex> && !AnswersDipr<CoarseIndex>);
+  static_assert(AnswersTopK<RoarGraph> && AnswersDipr<RoarGraph>);
+  static_assert(AnswersTopK<FlatIndex> && AnswersDipr<FlatIndex>);
 }
 
 TEST(QueryTypesTest, Names) {
-  EXPECT_STREQ(QueryClassName(QueryClass::kTopK), "topk");
-  EXPECT_STREQ(QueryClassName(QueryClass::kDipr), "dipr");
-  EXPECT_STREQ(QueryClassName(QueryClass::kFullAttention), "full_attention");
   EXPECT_STREQ(IndexClassName(IndexClass::kCoarse), "coarse");
+  EXPECT_STREQ(IndexClassName(IndexClass::kFine), "fine");
+  EXPECT_STREQ(IndexClassName(IndexClass::kFlat), "flat");
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ TEST(RoarGraphTest, BuildsAndIsFullyReachable) {
   EXPECT_DOUBLE_EQ(graph.ReachableFraction(), 1.0);
   EXPECT_EQ(graph.size(), 2000u);
   EXPECT_GT(graph.MemoryBytes(), 0u);
-  EXPECT_EQ(graph.index_class(), IndexClass::kFine);
 }
 
 TEST(RoarGraphTest, DegreeBounded) {
@@ -102,7 +101,7 @@ TEST(RoarGraphTest, EntryPointIsMaxNormKey) {
     training.Append(v.data());
   }
   ASSERT_TRUE(graph.BuildFromQueries(training.View()).ok());
-  EXPECT_EQ(graph.EntryPoint(nullptr), 50u);
+  EXPECT_EQ(graph.EntryPoint(), 50u);
 }
 
 TEST(RoarGraphTest, FilteredTopKRespectsPredicate) {
@@ -113,10 +112,7 @@ TEST(RoarGraphTest, FilteredTopKRespectsPredicate) {
   IdFilter filter;
   filter.prefix_len = 500;
   SearchResult res;
-  ASSERT_TRUE(graph
-                  .SearchTopKFiltered(data.query.data(), TopKParams{20, 64}, filter,
-                                      &res)
-                  .ok());
+  ASSERT_TRUE(graph.SearchTopK(data.query.data(), TopKParams{20, 64}, &res, filter).ok());
   for (const auto& h : res.hits) EXPECT_LT(h.id, 500u);
 }
 
@@ -154,7 +150,7 @@ void ExpectGraphsIdentical(const RoarGraph& a, const RoarGraph& b) {
     ASSERT_EQ(na.size(), nb.size()) << "node " << u;
     for (size_t i = 0; i < na.size(); ++i) EXPECT_EQ(na[i], nb[i]) << "node " << u;
   }
-  EXPECT_EQ(a.EntryPoint(nullptr), b.EntryPoint(nullptr));
+  EXPECT_EQ(a.EntryPoint(), b.EntryPoint());
 }
 
 TEST(RoarGraphTest, ExtendWithEmptySuffixIsBitIdenticalToBase) {
@@ -316,7 +312,7 @@ TEST(RoarGraphTest, ExtendFromPartialPrefixDropsOutOfPrefixEdges) {
   // Truncation may orphan prefix nodes; the connectivity pass must repair.
   EXPECT_DOUBLE_EQ(extended.ReachableFraction(), 1.0);
   // The entry is a live node of the new graph.
-  EXPECT_LT(extended.EntryPoint(nullptr), kTotal);
+  EXPECT_LT(extended.EntryPoint(), kTotal);
 }
 
 }  // namespace
