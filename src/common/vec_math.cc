@@ -24,7 +24,7 @@ float CosineSim(const float* a, const float* b, size_t d) {
 
 void SoftmaxInPlace(float* scores, size_t n) {
   if (n == 0) return;
-  const float m = MaxValue(scores, n);
+  const float m = scores[ArgMax(scores, n)];
   float sum = ExpShiftInPlace(scores, n, m);
   if (sum <= 0.f) sum = 1.f;
   const float inv = 1.0f / sum;
@@ -48,8 +48,6 @@ size_t ArgMax(const float* a, size_t n) {
   }
   return best;
 }
-
-float MaxValue(const float* a, size_t n) { return a[ArgMax(a, n)]; }
 
 float RelativeError(const float* a, const float* b, size_t d, float eps) {
   float num = 0.f, den = 0.f;

@@ -29,9 +29,6 @@ float ExpShiftInPlace(float* scores, size_t n, float max_value);
 /// Index of the maximum element (first on ties); n must be > 0.
 size_t ArgMax(const float* a, size_t n);
 
-/// Maximum element value; n must be > 0.
-float MaxValue(const float* a, size_t n);
-
 /// Relative L2 error ||a - b|| / max(||b||, eps).
 float RelativeError(const float* a, const float* b, size_t d, float eps = 1e-12f);
 

@@ -117,13 +117,16 @@ Status Session::Attention(uint32_t layer, const float* q, float* out,
                           AttentionCallStats* stats) {
   if (layer >= config_.num_layers) return Status::OutOfRange("layer out of range");
   if (q == nullptr || out == nullptr) return Status::InvalidArgument("null q/out");
-  AttentionCallStats total;
-  for (uint32_t h = 0; h < config_.num_q_heads; ++h) {
-    AttentionCallStats head_stats;
-    const size_t off = static_cast<size_t>(h) * config_.head_dim;
-    ALAYA_RETURN_IF_ERROR(AttendHead(layer, h, q + off, out + off, &head_stats));
-    total.Add(head_stats);
+  const uint32_t group = config_.GroupSize();
+  const size_t group_stride = static_cast<size_t>(group) * config_.head_dim;
+  std::vector<AttentionCallStats> head_stats(config_.num_q_heads);
+  for (uint32_t kv = 0; kv < config_.num_kv_heads; ++kv) {
+    ALAYA_RETURN_IF_ERROR(AttendKvGroup(layer, kv, q + kv * group_stride,
+                                        out + kv * group_stride,
+                                        &head_stats[static_cast<size_t>(kv) * group]));
   }
+  AttentionCallStats total;
+  for (const AttentionCallStats& hs : head_stats) total.Add(hs);
   // Every head of a layer runs the same plan; format it once per layer.
   total.plan_explain = optimizer_.Plan(MakeQueryContext(layer)).Explain();
   ChargeModeledGpuSeconds(total.modeled_gpu_seconds);
@@ -196,10 +199,29 @@ Status Session::AttachFromSuspend(SuspendedState&& state) {
   return Status::Ok();
 }
 
+Status Session::AttendKvGroup(uint32_t layer, uint32_t kv_head, const float* q,
+                              float* out, AttentionCallStats* stats) {
+  if (kv_head >= config_.num_kv_heads) return Status::OutOfRange("kv head out of range");
+  const uint32_t group = config_.GroupSize();
+  return AttendQueryHeads(layer, kv_head * group, group, q, out, stats);
+}
+
 Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
                            float* out_h, AttentionCallStats* stats) {
+  return AttendQueryHeads(layer, q_head, 1, qh, out_h, stats);
+}
+
+Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t count,
+                                 const float* q, float* out, AttentionCallStats* stats) {
   if (detached_) return Status::FailedPrecondition("session was detached for store");
-  const uint32_t kv_head = config_.KvHeadForQuery(q_head);
+  if (layer >= config_.num_layers) return Status::OutOfRange("layer out of range");
+  if (first_q_head >= config_.num_q_heads || count > config_.num_q_heads - first_q_head) {
+    return Status::OutOfRange("query head out of range");
+  }
+  if (q == nullptr || out == nullptr || stats == nullptr) {
+    return Status::InvalidArgument("null q/out/stats");
+  }
+  const uint32_t kv_head = config_.KvHeadForQuery(first_q_head);
   const size_t d = config_.head_dim;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   const size_t n_local = local_.NumTokens(layer);
@@ -215,24 +237,27 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
 
   const QueryPlan plan = optimizer_.Plan(MakeQueryContext(layer));
 
-  PartialAttention state(d);
-
   if (plan.query == QueryClass::kFullAttention) {
-    WallTimer t;
-    if (prefix_len_ > 0) {
-      KvPartition ctx_part{ctx_keys, ctx_vals, {}, 0,
-                           static_cast<uint32_t>(prefix_len_)};
-      stats->attended_tokens += AccumulatePartition(qh, ctx_part, scale, &state);
+    for (uint32_t h = 0; h < count; ++h) {
+      const float* qh = q + h * d;
+      AttentionCallStats& st = stats[h];
+      WallTimer t;
+      PartialAttention state(d);
+      if (prefix_len_ > 0) {
+        KvPartition ctx_part{ctx_keys, ctx_vals, {}, 0,
+                             static_cast<uint32_t>(prefix_len_)};
+        st.attended_tokens += AccumulatePartition(qh, ctx_part, scale, &state);
+      }
+      if (n_local > 0) {
+        KvPartition loc_part{loc_keys, loc_vals, {}, 0, static_cast<uint32_t>(n_local)};
+        st.attended_tokens += AccumulatePartition(qh, loc_part, scale, &state);
+      }
+      state.Finalize(out + h * d);
+      st.attention_seconds += t.ElapsedSeconds();
+      // In the deployed system full attention runs on GPU.
+      st.modeled_gpu_seconds +=
+          device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(n_total) * d);
     }
-    if (n_local > 0) {
-      KvPartition loc_part{loc_keys, loc_vals, {}, 0, static_cast<uint32_t>(n_local)};
-      stats->attended_tokens += AccumulatePartition(qh, loc_part, scale, &state);
-    }
-    state.Finalize(out_h);
-    stats->attention_seconds += t.ElapsedSeconds();
-    // In the deployed system full attention runs on GPU.
-    stats->modeled_gpu_seconds +=
-        device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(n_total) * d);
     return Status::Ok();
   }
 
@@ -253,112 +278,135 @@ Status Session::AttendHead(uint32_t layer, uint32_t q_head, const float* qh,
     }
   }
 
-  // Window-enhanced DIPRS prior (§7.1): best inner product over device-resident
-  // tokens (context window + local tail).
-  float prior = -1e30f;
-  WallTimer search_timer;
-  if (options_.use_window_dipr_hint) {
-    const KernelOps& ops = Kernels();
-    for (uint32_t id : ctx_window_ids) {
-      prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
-    }
-    for (uint32_t i = 0; i < n_local; ++i) {
-      prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
-    }
-    stats->search.dist_comps += ctx_window_ids.size() + n_local;
+  // Flat DIPR: one pass over the KV head's keys answers every query of the
+  // group (the plan and filter are per layer, not per head).
+  std::vector<SearchResult> scanned;
+  if (prefix_len_ > 0 && plan.index == IndexClass::kFlat &&
+      plan.query == QueryClass::kDipr) {
+    WallTimer scan_timer;
+    std::vector<const float*> qs(count);
+    for (uint32_t h = 0; h < count; ++h) qs[h] = q + h * d;
+    scanned.resize(count);
+    ALAYA_RETURN_IF_ERROR(
+        FlatIndex(ctx_keys).SearchDipr(qs, plan.dipr, scanned.data(), plan.filter));
+    const double share = scan_timer.ElapsedSeconds() / count;
+    for (uint32_t h = 0; h < count; ++h) stats[h].search_seconds += share;
   }
 
-  // --- Retrieval over the reused context. ---
-  SearchResult retrieved;
-  if (prefix_len_ > 0) {
-    IdFilter filter = plan.filter;
-    switch (plan.index) {
-      case IndexClass::kCoarse: {
-        const CoarseIndex* coarse = context_->CoarseIdx(layer, kv_head);
-        if (coarse != nullptr) {
-          ALAYA_RETURN_IF_ERROR(coarse->SearchTopK(qh, plan.topk, &retrieved, filter));
-          break;
-        }
-        [[fallthrough]];  // No coarse index built: degrade to fine/flat.
+  for (uint32_t h = 0; h < count; ++h) {
+    const float* qh = q + h * d;
+    AttentionCallStats& st = stats[h];
+
+    // Window-enhanced DIPRS prior (§7.1): best inner product over
+    // device-resident tokens (context window + local tail).
+    float prior = -1e30f;
+    WallTimer search_timer;
+    if (options_.use_window_dipr_hint) {
+      const KernelOps& ops = Kernels();
+      for (uint32_t id : ctx_window_ids) {
+        prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
       }
-      case IndexClass::kFine: {
-        const RoarGraph* fine = context_->FineIndex(layer, q_head);
-        if (fine != nullptr && fine->built()) {
-          DiprsHints hints;
-          if (options_.use_window_dipr_hint) hints.prior_best_ip = prior;
-          if (plan.query == QueryClass::kDipr) {
-            retrieved = DiprsSearch(fine->graph(), fine->scoring(), fine->EntryPoint(),
-                                    qh, plan.dipr, filter, hints);
-          } else {
-            ALAYA_RETURN_IF_ERROR(fine->SearchTopK(qh, plan.topk, &retrieved, filter));
-          }
-          break;
-        }
-        [[fallthrough]];  // No fine index: degrade to flat scan.
+      for (uint32_t i = 0; i < n_local; ++i) {
+        prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
       }
-      case IndexClass::kFlat: {
-        FlatIndex flat(ctx_keys);
-        if (plan.query == QueryClass::kDipr) {
-          ALAYA_RETURN_IF_ERROR(flat.SearchDipr(qh, plan.dipr, &retrieved, filter));
-        } else {
-          ALAYA_RETURN_IF_ERROR(flat.SearchTopK(qh, plan.topk, &retrieved, filter));
+      st.search.dist_comps += ctx_window_ids.size() + n_local;
+    }
+
+    // --- Retrieval over the reused context. ---
+    SearchResult retrieved;
+    if (!scanned.empty()) {
+      retrieved = std::move(scanned[h]);
+    } else if (prefix_len_ > 0) {
+      ALAYA_RETURN_IF_ERROR(Retrieve(layer, first_q_head + h, qh, plan, prior, &retrieved));
+    }
+    st.search_seconds += search_timer.ElapsedSeconds();
+    st.search += retrieved.stats;
+    st.retrieved_tokens += retrieved.hits.size();
+
+    // --- Data-centric partial attention (§7.2). ---
+    WallTimer attn_timer;
+    // Partition 1 (CPU, where the offloaded context lives): retrieved critical
+    // tokens minus those already in the device window.
+    std::vector<uint32_t> cpu_ids;
+    cpu_ids.reserve(retrieved.hits.size());
+    for (const ScoredId& hit : retrieved.hits) {
+      const bool in_window =
+          hit.id < init_end ||
+          (recent > n_local && hit.id >= prefix_len_ - std::min(prefix_len_,
+                                                                recent - n_local));
+      if (!in_window) cpu_ids.push_back(hit.id);
+    }
+    PartialAttention cpu_state(d);
+    if (!cpu_ids.empty()) {
+      KvPartition part{ctx_keys, ctx_vals, cpu_ids, 0, 0};
+      st.attended_tokens += AccumulatePartition(qh, part, scale, &cpu_state);
+    }
+
+    // Partition 2 (GPU): context window tokens + the local tail, accumulated
+    // as the canonical block fold — per-kShardBlockTokens partials merged in
+    // ascending order. Gang members own whole blocks, so a gang-of-N computes
+    // this exact float sequence distributed and the result stays bit-identical.
+    PartialAttention gpu_state(d);
+    st.attended_tokens += AccumulateDeviceBlocks(
+        qh, scale, ctx_keys, ctx_vals, loc_keys, loc_vals, ctx_window_ids, n_local,
+        &gpu_state);
+    const size_t gpu_tokens = ctx_window_ids.size() + n_local;
+    st.modeled_gpu_seconds +=
+        device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(gpu_tokens) * d);
+
+    if (options_.data_centric) {
+      // Only the (max, sum, acc) triple crosses PCIe: d + 2 floats.
+      st.modeled_gpu_seconds +=
+          device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
+    } else {
+      // Gather-then-compute ablation: ship retrieved K+V to the device first.
+      const uint64_t gather_bytes = static_cast<uint64_t>(cpu_ids.size()) * 2 * d *
+                                    config_.bytes_per_scalar;
+      st.modeled_gpu_seconds += device_->cost_model().TransferSeconds(gather_bytes);
+      st.modeled_gpu_seconds += device_->cost_model().GpuAttentionSeconds(
+          4.0 * static_cast<double>(cpu_ids.size()) * d);
+    }
+
+    PartialAttention state(d);
+    state.Merge(gpu_state);
+    state.Merge(cpu_state);
+    state.Finalize(out + h * d);
+    st.attention_seconds += attn_timer.ElapsedSeconds();
+  }
+  return Status::Ok();
+}
+
+Status Session::Retrieve(uint32_t layer, uint32_t q_head, const float* qh,
+                         const QueryPlan& plan, float prior, SearchResult* out) const {
+  const uint32_t kv_head = config_.KvHeadForQuery(q_head);
+  const IdFilter& filter = plan.filter;
+  switch (plan.index) {
+    case IndexClass::kCoarse: {
+      const CoarseIndex* coarse = context_->CoarseIdx(layer, kv_head);
+      if (coarse != nullptr) return coarse->SearchTopK(qh, plan.topk, out, filter);
+      [[fallthrough]];  // No coarse index built: degrade to fine/flat.
+    }
+    case IndexClass::kFine: {
+      const RoarGraph* fine = context_->FineIndex(layer, q_head);
+      if (fine != nullptr && fine->built()) {
+        if (plan.query != QueryClass::kDipr) {
+          return fine->SearchTopK(qh, plan.topk, out, filter);
         }
-        break;
+        DiprsHints hints;
+        if (options_.use_window_dipr_hint) hints.prior_best_ip = prior;
+        *out = DiprsSearch(fine->graph(), fine->scoring(), fine->EntryPoint(), qh,
+                           plan.dipr, filter, hints);
+        return Status::Ok();
       }
+      [[fallthrough]];  // No fine index: degrade to flat scan.
+    }
+    case IndexClass::kFlat: {
+      FlatIndex flat(context_->kv().Keys(layer, kv_head));
+      return plan.query == QueryClass::kDipr
+                 ? flat.SearchDipr(qh, plan.dipr, out, filter)
+                 : flat.SearchTopK(qh, plan.topk, out, filter);
     }
   }
-  stats->search_seconds += search_timer.ElapsedSeconds();
-  stats->search += retrieved.stats;
-  stats->retrieved_tokens += retrieved.hits.size();
-
-  // --- Data-centric partial attention (§7.2). ---
-  WallTimer attn_timer;
-  // Partition 1 (CPU, where the offloaded context lives): retrieved critical
-  // tokens minus those already in the device window.
-  std::vector<uint32_t> cpu_ids;
-  cpu_ids.reserve(retrieved.hits.size());
-  for (const ScoredId& hit : retrieved.hits) {
-    const bool in_window =
-        hit.id < init_end ||
-        (recent > n_local && hit.id >= prefix_len_ - std::min(prefix_len_,
-                                                              recent - n_local));
-    if (!in_window) cpu_ids.push_back(hit.id);
-  }
-  PartialAttention cpu_state(d);
-  if (!cpu_ids.empty()) {
-    KvPartition part{ctx_keys, ctx_vals, cpu_ids, 0, 0};
-    stats->attended_tokens += AccumulatePartition(qh, part, scale, &cpu_state);
-  }
-
-  // Partition 2 (GPU): context window tokens + the local tail, accumulated as
-  // the canonical block fold — per-kShardBlockTokens partials merged in
-  // ascending order. Gang members own whole blocks, so a gang-of-N computes
-  // this exact float sequence distributed and the result stays bit-identical.
-  PartialAttention gpu_state(d);
-  stats->attended_tokens += AccumulateDeviceBlocks(
-      qh, scale, ctx_keys, ctx_vals, loc_keys, loc_vals, ctx_window_ids, n_local,
-      &gpu_state);
-  const size_t gpu_tokens = ctx_window_ids.size() + n_local;
-  stats->modeled_gpu_seconds +=
-      device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(gpu_tokens) * d);
-
-  if (options_.data_centric) {
-    // Only the (max, sum, acc) triple crosses PCIe: d + 2 floats.
-    stats->modeled_gpu_seconds +=
-        device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
-  } else {
-    // Gather-then-compute ablation: ship retrieved K+V to the device first.
-    const uint64_t gather_bytes = static_cast<uint64_t>(cpu_ids.size()) * 2 * d *
-                                  config_.bytes_per_scalar;
-    stats->modeled_gpu_seconds += device_->cost_model().TransferSeconds(gather_bytes);
-    stats->modeled_gpu_seconds += device_->cost_model().GpuAttentionSeconds(
-        4.0 * static_cast<double>(cpu_ids.size()) * d);
-  }
-
-  state.Merge(gpu_state);
-  state.Merge(cpu_state);
-  state.Finalize(out_h);
-  stats->attention_seconds += attn_timer.ElapsedSeconds();
   return Status::Ok();
 }
 

@@ -82,15 +82,26 @@ class Session {
   Status Attention(uint32_t layer, const float* q, float* out,
                    AttentionCallStats* stats = nullptr);
 
-  /// One (layer, q_head) attention call — the unit the serving engine batches
-  /// across concurrent sessions. `qh`/`out_h` are this head's [head_dim]
-  /// slices; `stats` must be non-null.
+  /// One (layer, kv_head) attention call over the GroupSize() query heads
+  /// that share `kv_head` — the unit the serving engine batches across
+  /// concurrent sessions. `q`/`out` are the group's contiguous
+  /// [GroupSize() * head_dim] slices and `stats` its GroupSize() per-head
+  /// entries (accumulated into, not reset). The plan and window are computed
+  /// once; under a flat DIPR plan one scan of the KV head's keys answers
+  /// every query of the group. Per-head outputs and counters equal
+  /// AttendHead's bit for bit; the shared scan's wall time is split evenly
+  /// across the heads' search_seconds.
   ///
   /// Unlike Attention(), this does NOT advance the environment's GPU clock:
-  /// batching callers aggregate stats->modeled_gpu_seconds across heads and
+  /// batching callers aggregate stats[i].modeled_gpu_seconds across heads and
   /// call ChargeModeledGpuSeconds once. Reentrancy: safe to call concurrently
-  /// for distinct heads of the same session (all session state it touches is
-  /// read-only), provided no Update/UpdateBatch runs concurrently.
+  /// for distinct KV heads of the same session (all session state it touches
+  /// is read-only), provided no Update/UpdateBatch runs concurrently.
+  Status AttendKvGroup(uint32_t layer, uint32_t kv_head, const float* q, float* out,
+                       AttentionCallStats* stats);
+
+  /// The one-head case of AttendKvGroup: `qh`/`out_h` are this head's
+  /// [head_dim] slices; `stats` must be non-null.
   Status AttendHead(uint32_t layer, uint32_t q_head, const float* qh, float* out_h,
                     AttentionCallStats* stats);
 
@@ -191,6 +202,16 @@ class Session {
 
  private:
   QueryContext MakeQueryContext(uint32_t layer) const;
+
+  /// Attention for query heads [first_q_head, first_q_head + count), which
+  /// must share one KV head: the common body of AttendKvGroup/AttendHead.
+  Status AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t count,
+                          const float* q, float* out, AttentionCallStats* stats);
+
+  /// One head's retrieval over the reused context under `plan` (`prior` seeds
+  /// DIPRS when the window hint is on).
+  Status Retrieve(uint32_t layer, uint32_t q_head, const float* qh,
+                  const QueryPlan& plan, float prior, SearchResult* out) const;
 
   /// Re-sizes device reservations to the current residency: the single bound
   /// device's tracker normally, each gang member's shard share in gang mode.

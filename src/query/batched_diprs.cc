@@ -4,14 +4,13 @@
 
 namespace alaya {
 
-Status ExecuteHeadJobs(std::span<HeadAttentionJob> jobs, ThreadPool* pool,
-                       std::vector<Status>* per_job) {
-  return ExecuteJobBatch(jobs, pool, per_job, [](HeadAttentionJob& job) {
-    if (job.session == nullptr || job.q == nullptr || job.out == nullptr ||
-        job.stats == nullptr) {
-      return Status::InvalidArgument("incomplete head attention job");
+Status ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool,
+                          std::vector<Status>* per_job) {
+  return ExecuteJobBatch(jobs, pool, per_job, [](KvGroupAttentionJob& job) {
+    if (job.session == nullptr) {
+      return Status::InvalidArgument("incomplete kv group attention job");
     }
-    return job.session->AttendHead(job.layer, job.q_head, job.q, job.out, job.stats);
+    return job.session->AttendKvGroup(job.layer, job.kv_head, job.q, job.out, job.stats);
   });
 }
 

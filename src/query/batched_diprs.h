@@ -1,12 +1,15 @@
 // Batched DIPRS execution for multi-session serving.
 //
-// One decode step of one session issues a DIPRS (or top-k / full-attention)
-// retrieval per (layer, q_head). When many sessions decode concurrently, the
-// per-head calls are independent read-only searches over shared indices, so
-// the serving engine flattens all sessions' (session, layer, head) queries of
-// the current step into one batch and executes it with a single ParallelFor —
-// one scheduling round instead of per-session head loops, and load balancing
-// across heads whose DIPRS exploration sizes differ (Observation I).
+// One decode step of one session issues one attention call per (layer,
+// kv_head): Session::AttendKvGroup answers every query head that shares the
+// KV head, so a flat layer-0 scan streams each KV head's keys once for the
+// whole group, while DIPRS (or top-k / full attention) still runs per query
+// head inside it. When many sessions decode concurrently, these calls are
+// independent read-only searches over shared indices, so the serving engine
+// flattens all sessions' (session, layer, kv_head) jobs of the current step
+// into one batch and executes it with a single ParallelFor — one scheduling
+// round instead of per-session loops, and load balancing across jobs whose
+// DIPRS exploration sizes differ (Observation I).
 #pragma once
 
 #include <cstdint>
@@ -18,13 +21,14 @@
 
 namespace alaya {
 
-/// One (session, layer, q_head) attention query of the current decode step.
-/// `q` and `out` are this head's [head_dim] slices; `stats` must be non-null
-/// and unique per job (jobs run concurrently).
-struct HeadAttentionJob {
+/// One (session, layer, kv_head) attention call of the current decode step.
+/// `q` and `out` are the KV head's query-group [GroupSize() * head_dim]
+/// slices and `stats` its GroupSize() per-head entries; `stats` must be
+/// non-null and unique per job (jobs run concurrently).
+struct KvGroupAttentionJob {
   Session* session = nullptr;
   uint32_t layer = 0;
-  uint32_t q_head = 0;
+  uint32_t kv_head = 0;
   const float* q = nullptr;
   float* out = nullptr;
   AttentionCallStats* stats = nullptr;
@@ -36,9 +40,9 @@ struct HeadAttentionJob {
 /// job's Status lands at the matching index and the call returns Ok — callers
 /// isolate failures per job (the serving engine fails one session, not the
 /// fleet). Without it, returns the first error encountered. Does not advance
-/// any GPU clock — callers aggregate per-job stats and charge each session
+/// any GPU clock — callers aggregate per-head stats and charge each session
 /// once per batch.
-Status ExecuteHeadJobs(std::span<HeadAttentionJob> jobs, ThreadPool* pool = nullptr,
-                       std::vector<Status>* per_job = nullptr);
+Status ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool = nullptr,
+                          std::vector<Status>* per_job = nullptr);
 
 }  // namespace alaya

@@ -83,8 +83,9 @@ AdmissionEstimate RequestScheduler::Estimate(const ServingRequest& request,
   e.gpu_bytes = static_cast<uint64_t>(gpu_tokens) * model_.KvBytesPerToken();
 
   // Per-step modeled device time at completion, mirroring the sparse path in
-  // Session::AttendHead: one window+tail attention kernel per (layer, head)
-  // plus the data-centric partial-state transfer.
+  // Session::AttendKvGroup, which charges each query head of a (layer,
+  // kv_head) group separately: one window+tail attention kernel per (layer,
+  // q_head) plus the data-centric partial-state transfer.
   const double per_head =
       cost_.GpuAttentionSeconds(4.0 * static_cast<double>(gpu_tokens) *
                                 model_.head_dim) +

@@ -707,8 +707,9 @@ struct ServingEngine::StepState {
   size_t prefilled = 0;
   /// Per-device work this step (folded into device_stats_ at publish).
   std::vector<size_t> dev_tokens, dev_prefilled;
-  /// Per-layer head jobs: allocated once per step, refilled every layer.
-  std::vector<HeadAttentionJob> jobs;
+  /// Per-layer (session, kv_head) jobs: allocated once per step, refilled
+  /// every layer.
+  std::vector<KvGroupAttentionJob> jobs;
   std::vector<ActiveSession*> job_owner;
   std::vector<Status> job_status;
 };
@@ -777,9 +778,9 @@ bool ServingEngine::BeginStep(StepState* s) {
   }
   s->dev_tokens.assign(device_stats_.size(), 0);
   s->dev_prefilled.assign(device_stats_.size(), 0);
-  const size_t head_jobs = s->decoding.size() * db_->options().model.num_q_heads;
-  s->jobs.reserve(head_jobs);
-  s->job_owner.reserve(head_jobs);
+  const size_t group_jobs = s->decoding.size() * db_->options().model.num_kv_heads;
+  s->jobs.reserve(group_jobs);
+  s->job_owner.reserve(group_jobs);
   return true;
 }
 
@@ -797,30 +798,33 @@ Status ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
     if (!st.ok()) Fail(a, std::move(st));
   });
 
-  // Batched attention: flatten every decoding session's (session, q_head)
-  // DIPRS/attention query of this layer into one pool batch. A job's failure
-  // fails its own session, never the fleet.
+  // Batched attention: flatten every decoding session's (session, kv_head)
+  // attention call of this layer — the query heads sharing a KV head go
+  // together — into one pool batch. A job's failure fails its own session,
+  // never the fleet.
+  const uint32_t group = model.GroupSize();
   s->jobs.clear();
   s->job_owner.clear();
   for (ActiveSession* a : s->decoding) {
     if (a->state == RequestState::kRetiring) continue;
-    for (uint32_t h = 0; h < model.num_q_heads; ++h) {
-      a->head_stats[h] = AttentionCallStats{};
-      s->jobs.push_back(HeadAttentionJob{a->session.get(), layer, h,
-                                         a->q.data() + static_cast<size_t>(h) * d,
-                                         a->out.data() + static_cast<size_t>(h) * d,
-                                         &a->head_stats[h]});
+    std::fill(a->head_stats.begin(), a->head_stats.end(), AttentionCallStats{});
+    for (uint32_t kv = 0; kv < model.num_kv_heads; ++kv) {
+      const size_t first = static_cast<size_t>(kv) * group;
+      s->jobs.push_back(KvGroupAttentionJob{a->session.get(), layer, kv,
+                                            a->q.data() + first * d,
+                                            a->out.data() + first * d,
+                                            &a->head_stats[first]});
       s->job_owner.push_back(a);
     }
   }
-  // With a non-null per-job vector ExecuteHeadJobs only returns Ok.
-  ALAYA_RETURN_IF_ERROR(ExecuteHeadJobs(s->jobs, pool_, &s->job_status));
+  // With a non-null per-job vector ExecuteKvGroupJobs only returns Ok.
+  ALAYA_RETURN_IF_ERROR(ExecuteKvGroupJobs(s->jobs, pool_, &s->job_status));
   for (size_t j = 0; j < s->job_status.size(); ++j) {
     if (!s->job_status[j].ok()) Fail(s->job_owner[j], s->job_status[j]);
   }
 
   // Accounting: fold head stats, charge the modeled device clock once per
-  // session-layer (AttendHead leaves it untouched); after the last layer,
+  // session-layer (AttendKvGroup leaves it untouched); after the last layer,
   // emit the token.
   for (ActiveSession* a : s->decoding) {
     if (a->state == RequestState::kRetiring) continue;

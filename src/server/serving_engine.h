@@ -39,8 +39,9 @@
 //      PrefillWave (a dynamic join, not a fixed latch) and overlap the
 //      decode layer loop;
 //   4. fully-resident sessions decode in lockstep: per layer, every session's
-//      Update runs, then all sessions' (session, q_head) DIPRS/attention
-//      queries are flattened into ONE batch on the shared ThreadPool
+//      Update runs, then all sessions' (session, kv_head) attention calls
+//      (each answering the query heads that share the KV head) are
+//      flattened into ONE batch on the shared ThreadPool
 //      (src/query/batched_diprs.h); after a session's last layer its output
 //      block is streamed through on_token; BETWEEN layers (and while waiting
 //      out the step's prefill wave) the driver polls the scheduler and admits
@@ -563,7 +564,7 @@ class ServingEngine {
   /// wave. False when no session has work this step.
   bool BeginStep(StepState* s);
   /// One decode layer over the step's decoding sessions: Update fan-out,
-  /// one batch of (session, q_head) attention jobs, then per-session
+  /// one batch of (session, kv_head) attention jobs, then per-session
   /// accounting — and, after the last layer, token emission. A session's
   /// failure fails only that session; the returned error is engine-level.
   Status DecodeLayer(StepState* s, uint32_t layer);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/attention/attention_engine.h"
 #include "src/common/rng.h"
@@ -201,6 +202,134 @@ TEST(SessionTest, ErrorsOnBadArguments) {
   EXPECT_TRUE(session.Attention(99, buf.data(), buf.data()).code() ==
               StatusCode::kOutOfRange);
   EXPECT_TRUE(session.Attention(0, nullptr, buf.data()).IsInvalidArgument());
+}
+
+TEST(SessionTest, AttendHeadRejectsOutOfRangeAndNullArguments) {
+  SessionFixture fx;
+  Context ctx(1, std::vector<int32_t>(40, 3), fx.MakeKv(40, 55));
+  Session session(fx.model, SessionOptions{}, &ctx, 40, &fx.env);
+  const size_t d = fx.model.head_dim;
+  std::vector<float> q(d, 1.f), out(d);
+  AttentionCallStats stats;
+  EXPECT_EQ(session.AttendHead(fx.model.num_layers, 0, q.data(), out.data(), &stats).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(session.AttendHead(0, fx.model.num_q_heads, q.data(), out.data(), &stats).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(session.AttendHead(0, 0, nullptr, out.data(), &stats).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendHead(0, 0, q.data(), nullptr, &stats).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendHead(0, 0, q.data(), out.data(), nullptr).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendHead(0, 0, q.data(), out.data(), &stats).ok());
+}
+
+TEST(SessionTest, AttendKvGroupRejectsOutOfRangeAndNullArguments) {
+  SessionFixture fx;
+  Context ctx(1, std::vector<int32_t>(40, 3), fx.MakeKv(40, 55));
+  Session session(fx.model, SessionOptions{}, &ctx, 40, &fx.env);
+  const size_t d = fx.model.head_dim;
+  const size_t group = fx.model.GroupSize();
+  std::vector<float> qg(group * d, 1.f), outg(group * d);
+  std::vector<AttentionCallStats> sg(group);
+  EXPECT_EQ(session.AttendKvGroup(fx.model.num_layers, 0, qg.data(), outg.data(), sg.data())
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(session.AttendKvGroup(0, fx.model.num_kv_heads, qg.data(), outg.data(),
+                                  sg.data())
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(
+      session.AttendKvGroup(0, 0, nullptr, outg.data(), sg.data()).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendKvGroup(0, 0, qg.data(), nullptr, sg.data()).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendKvGroup(0, 0, qg.data(), outg.data(), nullptr).IsInvalidArgument());
+  EXPECT_TRUE(session.AttendKvGroup(0, 1, qg.data(), outg.data(), sg.data()).ok());
+}
+
+/// Runs every KV group of `layer` through AttendKvGroup and every query head
+/// through AttendHead, and expects bit-identical outputs and equal counters.
+void ExpectGroupEqualsHeads(Session& session, uint32_t layer, const float* q) {
+  const ModelConfig& model = session.config();
+  const size_t d = model.head_dim;
+  const size_t group = model.GroupSize();
+  for (uint32_t kv = 0; kv < model.num_kv_heads; ++kv) {
+    SCOPED_TRACE(testing::Message() << "layer " << layer << " kv_head " << kv);
+    const float* qg = q + kv * group * d;
+    std::vector<float> out_group(group * d);
+    std::vector<AttentionCallStats> group_stats(group);
+    ASSERT_TRUE(
+        session.AttendKvGroup(layer, kv, qg, out_group.data(), group_stats.data()).ok());
+    for (uint32_t i = 0; i < group; ++i) {
+      const uint32_t h = kv * static_cast<uint32_t>(group) + i;
+      std::vector<float> out_head(d);
+      AttentionCallStats head_stats;
+      ASSERT_TRUE(session.AttendHead(layer, h, qg + i * d, out_head.data(), &head_stats).ok());
+      EXPECT_EQ(std::memcmp(out_group.data() + i * d, out_head.data(), d * sizeof(float)), 0)
+          << "q_head " << h;
+      const AttentionCallStats& g = group_stats[i];
+      EXPECT_EQ(g.search.dist_comps, head_stats.search.dist_comps) << "q_head " << h;
+      EXPECT_EQ(g.search.hops, head_stats.search.hops) << "q_head " << h;
+      EXPECT_EQ(g.attended_tokens, head_stats.attended_tokens) << "q_head " << h;
+      EXPECT_EQ(g.retrieved_tokens, head_stats.retrieved_tokens) << "q_head " << h;
+      EXPECT_EQ(g.modeled_gpu_seconds, head_stats.modeled_gpu_seconds) << "q_head " << h;
+    }
+  }
+}
+
+TEST(SessionTest, KvGroupAttentionEqualsPerHeadAttention) {
+  // Group sizes 1 (MHA), 2 (Tiny) and 4 (Bench), under each plan the
+  // optimizer picks: layer-0 flat DIPR, layer-1 fine DIPRS, both with the
+  // partial-reuse prefix filter, and short-context full attention.
+  const ModelConfig mha{2, 4, 4, 16, 2};
+  for (const ModelConfig& model : {mha, ModelConfig::Tiny(), ModelConfig::Bench()}) {
+    SessionFixture fx;
+    fx.model = model;
+    SCOPED_TRACE(testing::Message() << "group " << model.GroupSize());
+    const size_t n = 400;
+    Context ctx(1, std::vector<int32_t>(n, 3), fx.MakeKv(n, 31));
+    ASSERT_TRUE(ctx.BuildFineIndices(IndexBuildOptions{}, nullptr, nullptr).ok());
+    const size_t qstride = model.num_q_heads * model.head_dim;
+    const size_t kvstride = model.num_kv_heads * model.head_dim;
+    std::vector<float> q(qstride), k(kvstride), v(kvstride);
+
+    SessionOptions sparse;
+    sparse.optimizer.short_context_threshold = 64;
+    sparse.window = WindowConfig{8, 16};
+    struct Case {
+      const char* name;
+      SessionOptions options;
+      size_t prefix;
+      const char* plan0;  // Expected substring of layer 0's plan.
+      const char* plan1;
+    };
+    const Case cases[] = {
+        {"full reuse", sparse, n, "on flat index", "on fine index"},
+        {"partial reuse", sparse, 250, "attribute_filter", "attribute_filter"},
+        {"short context", SessionOptions{}, n, "full_attention", "full_attention"},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      Session session(model, c.options, &ctx, c.prefix, &fx.env);
+      // A local tail, so both the window prior and the device-block fold see
+      // local tokens.
+      for (int t = 0; t < 3; ++t) {
+        for (uint32_t layer = 0; layer < model.num_layers; ++layer) {
+          fx.rng.FillGaussian(q.data(), qstride);
+          fx.rng.FillGaussian(k.data(), kvstride);
+          fx.rng.FillGaussian(v.data(), kvstride);
+          ASSERT_TRUE(session.Update(layer, q.data(), k.data(), v.data()).ok());
+        }
+      }
+      fx.rng.FillGaussian(q.data(), qstride);
+      std::vector<float> out(qstride);
+      AttentionCallStats layer_stats;
+      ASSERT_TRUE(session.Attention(0, q.data(), out.data(), &layer_stats).ok());
+      EXPECT_NE(layer_stats.plan_explain.find(c.plan0), std::string::npos)
+          << layer_stats.plan_explain;
+      ExpectGroupEqualsHeads(session, 0, q.data());
+      ASSERT_TRUE(session.Attention(1, q.data(), out.data(), &layer_stats).ok());
+      EXPECT_NE(layer_stats.plan_explain.find(c.plan1), std::string::npos)
+          << layer_stats.plan_explain;
+      ExpectGroupEqualsHeads(session, 1, q.data());
+    }
+  }
 }
 
 TEST(SessionTest, RecordingCapsAtMaxTokens) {
