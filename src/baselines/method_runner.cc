@@ -163,11 +163,10 @@ Status MethodRunner::AttendHead(uint32_t layer, uint32_t q_head, const float* q,
       DiprParams params;
       params.beta = spec_.beta;
       params.l0 = spec_.dipr_l0;
+      // Window-enhanced DIPRS prior (§7.1).
       DiprsHints hints;
-      if (spec_.window_hint) {
-        hints.prior_best_ip = window_.MaxWindowInnerProduct(q, keys, n);
-        local.search.dist_comps += window_ids.size();
-      }
+      hints.prior_best_ip = window_.MaxWindowInnerProduct(q, keys, n);
+      local.search.dist_comps += window_ids.size();
       SearchResult res = DiprsSearch(fine->graph(), fine->vectors(), fine->EntryPoint(),
                                      q, params, IdFilter{}, hints);
       local.search += res.stats;

@@ -37,8 +37,6 @@ struct MethodSpec {
   /// budget; more GPU memory buys more attended blocks — Fig. 9's x-axis).
   uint32_t infllm_block = 128;
   size_t infllm_cache_tokens = 4096;
-  /// Window-enhanced DIPRS prior (§7.1); on for the AlayaDB configuration.
-  bool window_hint = true;
 
   static MethodSpec Full() {
     MethodSpec s;

@@ -68,8 +68,6 @@ ThreadPool* AlayaDB::MaterializePool() const {
 Result<AlayaDB::SessionCreation> AlayaDB::CreateSession(
     const std::vector<int32_t>& prompt, int device) {
   ALAYA_RETURN_IF_ERROR(ValidateSessionOptions(options_));
-  device = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(std::max(device, 0)), env_->num_devices() - 1));
   SessionCreation out;
   ContextStore::PrefixMatch match = contexts_.BestPrefixMatch(prompt);
   if (match.spilled && match.matched > 0) {
@@ -96,27 +94,11 @@ Result<AlayaDB::SessionCreation> AlayaDB::CreateSession(
     out.reused_prefix = match.matched;
     out.context_id = match.context->id();
     out.context_ref = match.ref;
-    if (reused->resident_device() != device) {
-      // The context is warm on another device: the window tokens the session
-      // will keep device-resident have to cross the interconnect once, up
-      // front. Charge the modeled transfer to the *target* device (it is the
-      // one stalled waiting for the bytes) and move the context's residency
-      // with the session — the affinity signal placement policies read.
-      const WindowCache window(options_.session.window);
-      const size_t window_tokens =
-          std::min(window.Size(out.reused_prefix), out.reused_prefix);
-      out.cross_device_transfer_bytes =
-          static_cast<uint64_t>(window_tokens) * options_.model.KvBytesPerToken();
-      Device& dst = env_->device(static_cast<size_t>(device));
-      dst.clock().Advance(
-          dst.cost_model().TransferSeconds(out.cross_device_transfer_bytes));
-      reused->set_resident_device(device);
-    }
   }
   out.truncated_prompt.assign(prompt.begin() + static_cast<long>(out.reused_prefix),
                               prompt.end());
-  out.session = std::make_unique<Session>(options_.model, options_.session, reused,
-                                          out.reused_prefix, env_, device);
+  out.session = OpenSession(reused, out.reused_prefix, device,
+                            &out.cross_device_transfer_bytes);
   return out;
 }
 
@@ -124,8 +106,6 @@ Result<AlayaDB::SessionResume> AlayaDB::ResumeSession(uint64_t context_id,
                                                       size_t reused_prefix,
                                                       int device) {
   ALAYA_RETURN_IF_ERROR(ValidateSessionOptions(options_));
-  device = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(std::max(device, 0)), env_->num_devices() - 1));
   SessionResume out;
   Context* reused = nullptr;
   if (context_id != 0 && reused_prefix > 0) {
@@ -149,47 +129,33 @@ Result<AlayaDB::SessionResume> AlayaDB::ResumeSession(uint64_t context_id,
     }
     reused = out.context_ref.get();
     if (tiers_ != nullptr) tiers_->OnPrefixHit(context_id);
-    if (reused->resident_device() != device) {
-      // Same cross-device charge as CreateSession: the resuming device pulls
-      // the window bytes over the interconnect and the context re-homes.
-      const WindowCache window(options_.session.window);
-      const size_t window_tokens =
-          std::min(window.Size(reused_prefix), reused_prefix);
-      out.cross_device_transfer_bytes =
-          static_cast<uint64_t>(window_tokens) * options_.model.KvBytesPerToken();
-      Device& dst = env_->device(static_cast<size_t>(device));
-      dst.clock().Advance(
-          dst.cost_model().TransferSeconds(out.cross_device_transfer_bytes));
-      reused->set_resident_device(device);
-    }
   }
-  out.session = std::make_unique<Session>(options_.model, options_.session, reused,
-                                          reused == nullptr ? 0 : reused_prefix,
-                                          env_, device);
+  out.session = OpenSession(reused, reused == nullptr ? 0 : reused_prefix, device,
+                            &out.cross_device_transfer_bytes);
   return out;
 }
 
-Result<uint64_t> AlayaDB::MigrateShard(uint64_t context_id, int from, int to) {
-  if (from == to) return Status::InvalidArgument("migration source == target");
-  std::shared_ptr<Context> ref = contexts_.FindShared(context_id);
-  if (ref == nullptr) return Status::NotFound("context not in store");
-  if (ref->resident_device() != from) {
-    // A session re-homed the context between the caller's load probe and now
-    // (last-user-wins residency). The migration plan is stale; moving it
-    // anyway would fight the session that just pulled it.
-    return Status::FailedPrecondition("context is not resident on the source");
+std::unique_ptr<Session> AlayaDB::OpenSession(Context* reused, size_t reused_prefix,
+                                              int device,
+                                              uint64_t* cross_device_transfer_bytes) {
+  device = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(std::max(device, 0)), env_->num_devices() - 1));
+  if (reused != nullptr && reused->resident_device() != device) {
+    // The context is warm on another device: the window tokens the session
+    // will keep device-resident have to cross the interconnect once, up
+    // front. Charge the modeled transfer to the *target* device (it is the
+    // one stalled waiting for the bytes) and move the context's residency
+    // with the session — the affinity signal placement policies read.
+    const WindowCache window(options_.session.window);
+    const size_t window_tokens = std::min(window.Size(reused_prefix), reused_prefix);
+    *cross_device_transfer_bytes =
+        static_cast<uint64_t>(window_tokens) * options_.model.KvBytesPerToken();
+    Device& dst = env_->device(static_cast<size_t>(device));
+    dst.clock().Advance(dst.cost_model().TransferSeconds(*cross_device_transfer_bytes));
+    reused->set_resident_device(device);
   }
-  // Same bytes CreateSession's cross-device reuse moves: the window over the
-  // stored sequence — the part a future session keeps device-resident.
-  const WindowCache window(options_.session.window);
-  const size_t length = ref->length();
-  const size_t window_tokens = std::min(window.Size(length), length);
-  const uint64_t bytes =
-      static_cast<uint64_t>(window_tokens) * options_.model.KvBytesPerToken();
-  Device& dst = env_->device(static_cast<size_t>(std::max(to, 0)));
-  dst.clock().Advance(dst.cost_model().TransferSeconds(bytes));
-  ref->set_resident_device(to);
-  return bytes;
+  return std::make_unique<Session>(options_.model, options_.session, reused,
+                                   reused_prefix, env_, device);
 }
 
 Status AlayaDB::BuildIndices(Context* context, const QuerySamples* queries,

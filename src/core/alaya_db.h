@@ -174,18 +174,16 @@ class AlayaDB {
     if (tiers_ != nullptr) tiers_->PrefetchAsync(id);
   }
 
-  /// Cross-device KV migration: moves context `context_id`'s device residency
-  /// from `from` to `to`, charging the modeled transfer of its window bytes
-  /// (the same formula CreateSession's cross-device reuse pays) to the
-  /// DESTINATION device's clock — it is the one stalled receiving. The
-  /// scheduler's rebalance probe calls this to shed a warm shard off a hot
-  /// device; subsequent prefix hits then place toward `to` via the affinity
-  /// probe. Returns the bytes moved. Fails kNotFound for unknown ids and
-  /// kFailedPrecondition when the context is not actually resident on `from`
-  /// (it raced a session re-homing it — the migration is stale, skip it).
-  Result<uint64_t> MigrateShard(uint64_t context_id, int from, int to);
-
  private:
+  /// The tail CreateSession and ResumeSession share: clamps `device` into the
+  /// fleet, charges the cross-device window transfer (writing its bytes to
+  /// `*cross_device_transfer_bytes`, untouched on same-device or no reuse)
+  /// and re-homes `reused`, then builds the session over its first
+  /// `reused_prefix` tokens.
+  std::unique_ptr<Session> OpenSession(Context* reused, size_t reused_prefix,
+                                       int device,
+                                       uint64_t* cross_device_transfer_bytes);
+
   Status BuildIndices(Context* context, const QuerySamples* queries,
                       const Context* base = nullptr, size_t base_prefix = 0);
 

@@ -301,16 +301,14 @@ Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t
     // device-resident tokens (context window + local tail).
     float prior = -1e30f;
     WallTimer search_timer;
-    if (options_.use_window_dipr_hint) {
-      const KernelOps& ops = Kernels();
-      for (uint32_t id : ctx_window_ids) {
-        prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
-      }
-      for (uint32_t i = 0; i < n_local; ++i) {
-        prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
-      }
-      st.search.dist_comps += ctx_window_ids.size() + n_local;
+    const KernelOps& ops = Kernels();
+    for (uint32_t id : ctx_window_ids) {
+      prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
     }
+    for (uint32_t i = 0; i < n_local; ++i) {
+      prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
+    }
+    st.search.dist_comps += ctx_window_ids.size() + n_local;
 
     // --- Retrieval over the reused context. ---
     SearchResult retrieved;
@@ -353,19 +351,10 @@ Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t
     const size_t gpu_tokens = ctx_window_ids.size() + n_local;
     st.modeled_gpu_seconds +=
         device_->cost_model().GpuAttentionSeconds(4.0 * static_cast<double>(gpu_tokens) * d);
-
-    if (options_.data_centric) {
-      // Only the (max, sum, acc) triple crosses PCIe: d + 2 floats.
-      st.modeled_gpu_seconds +=
-          device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
-    } else {
-      // Gather-then-compute ablation: ship retrieved K+V to the device first.
-      const uint64_t gather_bytes = static_cast<uint64_t>(cpu_ids.size()) * 2 * d *
-                                    config_.bytes_per_scalar;
-      st.modeled_gpu_seconds += device_->cost_model().TransferSeconds(gather_bytes);
-      st.modeled_gpu_seconds += device_->cost_model().GpuAttentionSeconds(
-          4.0 * static_cast<double>(cpu_ids.size()) * d);
-    }
+    // Only the CPU partition's (max, sum, acc) triple crosses PCIe: d + 2
+    // floats.
+    st.modeled_gpu_seconds +=
+        device_->cost_model().TransferSeconds((d + 2) * sizeof(float));
 
     PartialAttention state(d);
     state.Merge(gpu_state);
@@ -393,7 +382,7 @@ Status Session::Retrieve(uint32_t layer, uint32_t q_head, const float* qh,
           return fine->SearchTopK(qh, plan.topk, out, filter);
         }
         DiprsHints hints;
-        if (options_.use_window_dipr_hint) hints.prior_best_ip = prior;
+        hints.prior_best_ip = prior;
         *out = DiprsSearch(fine->graph(), fine->scoring(), fine->EntryPoint(), qh,
                            plan.dipr, filter, hints);
         return Status::Ok();

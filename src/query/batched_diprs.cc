@@ -1,16 +1,19 @@
 #include "src/query/batched_diprs.h"
 
-#include "src/query/batched_execution.h"
-
 namespace alaya {
 
-Status ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool,
-                          std::vector<Status>* per_job) {
-  return ExecuteJobBatch(jobs, pool, per_job, [](KvGroupAttentionJob& job) {
-    if (job.session == nullptr) {
-      return Status::InvalidArgument("incomplete kv group attention job");
-    }
-    return job.session->AttendKvGroup(job.layer, job.kv_head, job.q, job.out, job.stats);
+void ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool,
+                        std::vector<Status>* per_job) {
+  per_job->assign(jobs.size(), Status::Ok());
+  if (jobs.empty()) return;
+  if (pool == nullptr) pool = &ThreadPool::Global();
+  pool->ParallelFor(0, jobs.size(), [&](size_t i) {
+    const KvGroupAttentionJob& job = jobs[i];
+    (*per_job)[i] =
+        job.session == nullptr
+            ? Status::InvalidArgument("incomplete kv group attention job")
+            : job.session->AttendKvGroup(job.layer, job.kv_head, job.q, job.out,
+                                         job.stats);
   });
 }
 

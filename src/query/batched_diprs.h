@@ -36,13 +36,12 @@ struct KvGroupAttentionJob {
 
 /// Executes every job on `pool` (nullptr -> ThreadPool::Global()). Jobs may
 /// mix sessions and layers; all referenced sessions must be quiescent (no
-/// concurrent Update). Always drains the whole batch. With `per_job` set, each
-/// job's Status lands at the matching index and the call returns Ok — callers
-/// isolate failures per job (the serving engine fails one session, not the
-/// fleet). Without it, returns the first error encountered. Does not advance
-/// any GPU clock — callers aggregate per-head stats and charge each session
-/// once per batch.
-Status ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool = nullptr,
-                          std::vector<Status>* per_job = nullptr);
+/// concurrent Update). Always drains the whole batch; each job's Status lands
+/// at the matching index of `*per_job` (resized to the batch), so callers
+/// isolate failures per job — the serving engine fails one session, not the
+/// fleet. Does not advance any GPU clock — callers aggregate per-head stats
+/// and charge each session once per batch.
+void ExecuteKvGroupJobs(std::span<KvGroupAttentionJob> jobs, ThreadPool* pool,
+                        std::vector<Status>* per_job);
 
 }  // namespace alaya

@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <span>
-#include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/core/session.h"
@@ -57,15 +55,9 @@ struct SessionPrefillJob {
 /// Runs one job on the calling thread: for each layer, fills the chunk's QKV
 /// token-major into the scratch buffers and appends it with one UpdateBatch.
 /// The serving engine submits one of these per prefilling session to the
-/// shared pool, overlapping them with its decode layer loop.
+/// shared pool (PrefillWave::Launch), overlapping them with its decode layer
+/// loop.
 Status RunPrefillJob(const SessionPrefillJob& job);
-
-/// Executes every job on `pool` (nullptr -> ThreadPool::Global()), one task
-/// per session chunk. Always drains the whole batch. With `per_job` set, each
-/// job's Status lands at the matching index and the call returns Ok — callers
-/// isolate failures per session. Without it, returns the first error.
-Status ExecutePrefillJobs(std::span<SessionPrefillJob> jobs, ThreadPool* pool = nullptr,
-                          std::vector<Status>* per_job = nullptr);
 
 /// Dynamic join for in-flight prefill chunks. Unlike a std::latch — whose
 /// count is fixed at construction, forcing the serving engine to freeze the
@@ -98,14 +90,10 @@ class PrefillWave {
   /// wave so it can admit newly queued requests while chunks are in flight.
   bool WaitFor(std::chrono::microseconds timeout);
 
-  /// Chunks launched over the wave's lifetime (driver thread only).
-  size_t launched() const { return launched_; }
-
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   size_t outstanding_ = 0;
-  size_t launched_ = 0;
 };
 
 }  // namespace alaya

@@ -47,7 +47,6 @@ RequestScheduler::RequestScheduler(const ModelConfig& model,
   // A zero cap would deadlock Admit; one session must always be able to run.
   options_.max_concurrent_sessions = std::max<size_t>(1, options_.max_concurrent_sessions);
   options_.prefill_chunk_tokens = std::max<size_t>(1, options_.prefill_chunk_tokens);
-  options_.min_prefill_tokens = std::max<size_t>(1, options_.min_prefill_tokens);
   devices = std::max<size_t>(1, devices);
   options_.max_gang_size = std::clamp<size_t>(options_.max_gang_size, 1, devices);
   placement_ = options_.placement != nullptr
@@ -158,11 +157,10 @@ RequestScheduler::StepPlan RequestScheduler::PlanStep(
     const size_t need = prefill_remaining[i];
     size_t grant = std::min({options_.prefill_chunk_tokens, need, left});
     if (i == 0 && need > 0) {
-      // Forward-progress floor: even a decode-saturated budget funds the head
-      // prefilling session, or prefill would livelock behind a full batch.
-      const size_t floor =
-          std::min({need, options_.prefill_chunk_tokens, options_.min_prefill_tokens});
-      grant = std::max(grant, floor);
+      // Forward-progress floor of one token: even a decode-saturated budget
+      // funds the head prefilling session, or prefill would livelock behind a
+      // full batch.
+      grant = std::max<size_t>(grant, 1);
     }
     left -= std::min(left, grant);
     plan.chunks.push_back(grant);

@@ -165,11 +165,6 @@ struct RequestSchedulerOptions {
   /// newly admitted request's first chunk draws from whatever of the current
   /// step's budget is still unspent (mid-step admission).
   size_t step_token_budget = 0;
-  /// Forward-progress floor: the head prefilling session is granted at least
-  /// this many tokens per step even when decode alone exhausts the budget
-  /// (clamped to >= 1 — a zero floor would livelock prefill behind a large
-  /// decode batch).
-  size_t min_prefill_tokens = 1;
   /// Fair-share weight per tenant id (unlisted tenants weigh 1.0; weights
   /// <= 0 are treated as 1.0). A weight-2 tenant earns deficit credit twice
   /// as fast as a weight-1 tenant contending in the same priority class.
@@ -211,8 +206,8 @@ class RequestScheduler {
     size_t decode_tokens = 0;
     /// Per prefilling session (same order as the input), tokens granted this
     /// step: min(chunk cap, tokens the session still needs, budget left),
-    /// dealt FIFO. The head session always gets >= min_prefill_tokens of its
-    /// remaining need, so prefill can never livelock behind decode.
+    /// dealt FIFO. The head session always gets at least one token while it
+    /// needs any, so prefill can never livelock behind decode.
     std::vector<size_t> chunks;
     /// Unspent budget after the grants above — the pool a mid-step admission
     /// draws its first chunk from.

@@ -4,20 +4,12 @@
 #include <span>
 
 #include "src/common/rng.h"
-#include "src/core/context_serializer.h"
 #include "src/device/gang.h"
 #include "src/query/batched_diprs.h"
 
 namespace alaya {
 
 namespace {
-
-/// VFS namespace for a suspended request's spilled KV. Distinct from the tier
-/// store's "ctx<id>" context prefix, so warm start never mistakes a parked
-/// request fragment for a stored context (ParseSpillName skips it).
-std::string SuspendSpillPrefix(uint64_t request_id) {
-  return "suspend" + std::to_string(request_id);
-}
 
 /// Normalizes engine options: clamps the fleet size and defaults the
 /// scheduler's prefix probe to the DB's context store — admission then
@@ -281,13 +273,9 @@ void ServingEngine::FinalizeSuspended(uint64_t id, Status status) {
   std::unique_ptr<ActiveSession> a = std::move(it->second);
   suspended_.erase(it);
   // The parked KV dies with the request; no scheduler Release — a suspended
-  // request holds no reservation (its slot was freed at suspension). A
-  // spilled KV's file stays behind harmlessly: the VFS has no remove, the
-  // "suspend" prefix is invisible to warm start, and a future re-spill of the
-  // same id truncates it.
+  // request holds no reservation (its slot was freed at suspension).
   a->suspended_kv.reset();
   a->host_kv_reservation.Release();
-  a->disk_kv_reservation.Release();
   a->result.status = std::move(status);
   FinalizeResult(a->id, std::move(a->result));
 }
@@ -312,59 +300,6 @@ Status ServingEngine::CheckLive(ActiveSession* a,
   return Status::Ok();
 }
 
-Status ServingEngine::SpillSuspendedKv(ActiveSession* a) {
-  TieredContextStore* tiers = db_->tiers();
-  if (tiers == nullptr || !a->suspended_kv.has_value()) {
-    return Status::FailedPrecondition("no tier store to spill suspended KV into");
-  }
-  Session::SuspendedState& state = *a->suspended_kv;
-  const uint64_t kv_bytes = state.kv_bytes;
-  // Wrap the parked KV in a throwaway Context so the serializer's persist
-  // path (payload files first, manifest as the commit record) does the
-  // formatting. The tokens are positional placeholders — resume never reads
-  // them; the engine-side prefill_pos/step counters are the real state.
-  const size_t n_local = state.base.local_kv.NumTokens();
-  auto kv = std::make_unique<KvCache>(std::move(state.base.local_kv));
-  Context shell(a->id, std::vector<int32_t>(n_local, 0), std::move(kv));
-  ContextSerializer serializer(&tiers->vfs());
-  const Status persisted = serializer.Persist(shell, SuspendSpillPrefix(a->id));
-  if (!persisted.ok()) {
-    // The KV must survive a failed spill: move it back and let the caller
-    // fall back to host-resident parking.
-    state.base.local_kv = std::move(shell.mutable_kv());
-    return persisted;
-  }
-  // The parked bytes now live on disk; the in-memory cache is left empty
-  // (geometry only) and the host never holds them while the request waits.
-  state.base.local_kv = KvCache(db_->options().model);
-  a->disk_kv_reservation =
-      MemoryReservation(&db_->env().disk_usage(), kv_bytes);
-  a->suspended_on_disk = true;
-  std::lock_guard<std::mutex> lk(mu_);
-  ++snapshot_.suspend_spills;
-  return Status::Ok();
-}
-
-Status ServingEngine::RestoreSuspendedKv(ActiveSession* a) {
-  TieredContextStore* tiers = db_->tiers();
-  if (tiers == nullptr || !a->suspended_kv.has_value()) {
-    return Status::FailedPrecondition("no spilled suspended KV to restore");
-  }
-  ContextSerializer serializer(&tiers->vfs());
-  Result<std::unique_ptr<Context>> loaded =
-      serializer.Load(SuspendSpillPrefix(a->id), a->id, db_->options().model,
-                      db_->options().index_build.roar);
-  ALAYA_RETURN_IF_ERROR(loaded.status());
-  // Serializer round-trips are exact, so the restored cache is bit-identical
-  // to the one DetachForSuspend parked — resume stays recompute-free.
-  a->suspended_kv->base.local_kv = std::move(loaded.value()->mutable_kv());
-  a->suspended_on_disk = false;
-  a->disk_kv_reservation.Release();
-  std::lock_guard<std::mutex> lk(mu_);
-  ++snapshot_.suspend_restores;
-  return Status::Ok();
-}
-
 bool ServingEngine::SuspendVictim(uint64_t id) {
   auto it = std::find_if(active_.begin(), active_.end(),
                          [id](const auto& a) { return a->id == id; });
@@ -382,22 +317,11 @@ bool ServingEngine::SuspendVictim(uint64_t id) {
   const uint64_t kv_bytes = state.kv_bytes;
   // The offload is a modeled device→host transfer on the victim's device (it
   // executes the copy-out), and the parked bytes live in host DRAM until
-  // resume — unless host pressure spills them onward to disk below.
+  // resume.
   Device& dev = db_->env().device(static_cast<size_t>(a->device));
   dev.clock().Advance(dev.cost_model().TransferSeconds(kv_bytes));
   a->suspended_kv.emplace(std::move(state));
-  // Host-pressure spill: when parking these bytes would push host usage past
-  // the budget, persist them to the tier store's disk instead. Failure falls
-  // back to host parking — the spill is an optimization, never a gate.
-  const bool spill = options_.suspend_spill_host_budget_bytes > 0 &&
-                     db_->tiers() != nullptr &&
-                     db_->env().host_memory().current() + kv_bytes >
-                         options_.suspend_spill_host_budget_bytes &&
-                     SpillSuspendedKv(a).ok();
-  if (!spill) {
-    a->host_kv_reservation =
-        MemoryReservation(&db_->env().host_memory(), kv_bytes);
-  }
+  a->host_kv_reservation = MemoryReservation(&db_->env().host_memory(), kv_bytes);
   a->session.reset();
   // Drop the context pin: while the request waits, the tier layer is free to
   // spill (and later page back in) the context — resume re-pins it.
@@ -463,11 +387,6 @@ void ServingEngine::ResumeSuspended(RequestScheduler::Admitted&& adm,
       a->session = std::move(r.value().session);
       a->context_ref = std::move(r.value().context_ref);
       status = BindPlacement(a, adm, r.value().cross_device_transfer_bytes);
-    }
-    if (status.ok() && a->suspended_on_disk) {
-      // The parked KV was spilled under host pressure; demand-page it back
-      // before the reattach (bit-identical serializer round-trip).
-      status = RestoreSuspendedKv(a);
     }
     if (status.ok()) {
       status = a->session->AttachFromSuspend(std::move(*a->suspended_kv));
@@ -714,17 +633,12 @@ struct ServingEngine::StepState {
   std::vector<Status> job_status;
 };
 
-Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
+void ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
   const uint32_t layers = db_->options().model.num_layers;
   StepState s;
-  if (!BeginStep(&s)) return Status::Ok();
-  // The wave tasks write into the sessions' scratch and chunk_status, so
-  // every exit path below MUST pass the JoinWave join — a decode error is
-  // deferred, not returned from inside the loop.
-  Status decode_status;
+  if (!BeginStep(&s)) return;
   for (uint32_t layer = 0; !s.decoding.empty() && layer < layers; ++layer) {
-    decode_status = DecodeLayer(&s, layer);
-    if (!decode_status.ok()) break;
+    DecodeLayer(&s, layer);
     // Mid-step admission poll, between layers: a request that arrived while
     // this layer ran gets its session built NOW and its first prefill chunk
     // (budget permitting) launched into the wave already in flight — it does
@@ -736,11 +650,11 @@ Status ServingEngine::StepActiveSessions(const WallTimer& step_timer) {
     if (layer + 1 < layers) MidStepAdmit(&s);
   }
   RetireMidStep(step_timer);
+  // The wave tasks write into the sessions' scratch and chunk_status: join
+  // before the fold reads them.
   JoinWave(&s);
-  ALAYA_RETURN_IF_ERROR(decode_status);
   FoldPrefillChunks(&s);
   PublishStepCounters(s);
-  return Status::Ok();
 }
 
 bool ServingEngine::BeginStep(StepState* s) {
@@ -784,7 +698,7 @@ bool ServingEngine::BeginStep(StepState* s) {
   return true;
 }
 
-Status ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
+void ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
   const ModelConfig& model = db_->options().model;
   const size_t d = model.head_dim;
   // Update: append this step's K/V to each session-local cache. Sessions are
@@ -817,8 +731,7 @@ Status ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
       s->job_owner.push_back(a);
     }
   }
-  // With a non-null per-job vector ExecuteKvGroupJobs only returns Ok.
-  ALAYA_RETURN_IF_ERROR(ExecuteKvGroupJobs(s->jobs, pool_, &s->job_status));
+  ExecuteKvGroupJobs(s->jobs, pool_, &s->job_status);
   for (size_t j = 0; j < s->job_status.size(); ++j) {
     if (!s->job_status[j].ok()) Fail(s->job_owner[j], s->job_status[j]);
   }
@@ -855,7 +768,6 @@ Status ServingEngine::DecodeLayer(StepState* s, uint32_t layer) {
     ++s->dev_tokens[static_cast<size_t>(a->device)];
     if (a->step == a->request.max_new_tokens) a->state = RequestState::kRetiring;
   }
-  return Status::Ok();
 }
 
 void ServingEngine::MidStepAdmit(StepState* s) {
@@ -998,42 +910,6 @@ void ServingEngine::SampleResidencyPeaksLocked() {
   snapshot_.peak_gpu_bytes = std::max(snapshot_.peak_gpu_bytes, fleet_bytes);
 }
 
-void ServingEngine::MaybeRebalance() {
-  if (options_.rebalance_skew_factor <= 0 || options_.devices < 2) return;
-  const std::vector<DeviceLoad> loads = scheduler_.DeviceLoads();
-  size_t hot = 0, cold = 0;
-  for (size_t i = 1; i < loads.size(); ++i) {
-    if (loads[i].reserved_bytes > loads[hot].reserved_bytes) hot = i;
-    if (loads[i].reserved_bytes < loads[cold].reserved_bytes) cold = i;
-  }
-  const double threshold =
-      options_.rebalance_skew_factor *
-      static_cast<double>(std::max<uint64_t>(loads[cold].reserved_bytes, 1));
-  if (hot == cold ||
-      static_cast<double>(loads[hot].reserved_bytes) <= threshold) {
-    return;
-  }
-  // Load skew crossed the trigger: shed ONE warm, unpinned context from the
-  // hot device to the cold one. One migration per probe keeps the correction
-  // gentle — if skew persists, the next step boundary probes again. Pinned
-  // contexts (use_count > 2: the store's ref + ours + a live session's) are
-  // skipped; migrating under a running session would charge its device clock
-  // for KV the session still attends locally.
-  for (const uint64_t id : db_->contexts().Ids()) {
-    std::shared_ptr<Context> ref = db_->contexts().FindShared(id);
-    if (ref == nullptr) continue;  // Spilled or removed — nothing resident.
-    if (ref->resident_device() != static_cast<int>(hot)) continue;
-    if (ref.use_count() != 2) continue;
-    Result<uint64_t> moved = db_->MigrateShard(id, static_cast<int>(hot),
-                                               static_cast<int>(cold));
-    if (!moved.ok()) continue;  // Raced a re-homing; plan is stale, skip.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++snapshot_.shard_migrations;
-    snapshot_.shard_migrated_bytes += moved.value();
-    break;
-  }
-}
-
 void ServingEngine::FinishSession(ActiveSession* active) {
   if (active->result.status.ok() && active->request.store_on_finish) {
     // DB.Store expects ids for every session-local token: the prefilled prompt
@@ -1121,7 +997,6 @@ void ServingEngine::DriverLoop() {
     // enter here, the continuous-batching entry point.
     SweepCancellations();
     RetireSessions(nullptr);
-    MaybeRebalance();
     AdmitInto(nullptr, /*allow_preempt=*/true);
 
     if (active_.empty()) {
@@ -1153,8 +1028,7 @@ void ServingEngine::DriverLoop() {
       a->was_prefilling = a->state == RequestState::kPrefilling;
     }
     WallTimer step_timer;
-    status = StepActiveSessions(step_timer);
-    if (!status.ok()) break;
+    StepActiveSessions(step_timer);
     const double step_seconds = step_timer.ElapsedSeconds();
     for (auto& a : active_) {
       if (!a->result.status.ok()) continue;

@@ -122,21 +122,6 @@ struct ServingEngineOptions {
   /// id-based result() lookup forgets. 0 = unlimited (the old always-grow
   /// behavior; an always-on engine then leaks one entry per request served).
   size_t result_retention = 4096;
-  /// Cross-device KV rebalance probe: when > 0, the driver checks
-  /// reserved-byte skew at each step boundary and migrates ONE warm, unpinned
-  /// context off the hottest device once its reserved bytes exceed
-  /// factor * max(coldest device's reserved bytes, 1). The migration charges
-  /// the destination's clock with the modeled window transfer
-  /// (AlayaDB::MigrateShard); future prefix hits then place toward the cold
-  /// device via the prefix probe's affinity. 0 disables the probe.
-  double rebalance_skew_factor = 0;
-  /// Host-pressure spill for suspended KV: when > 0 and the DB has tiering
-  /// enabled, a suspension that would push host usage past this budget
-  /// persists the parked KV through the tier store's file system instead of
-  /// holding host DRAM; resume demand-pages it back bit-identically (the
-  /// serializer round-trip is exact). 0 keeps every parked KV host-resident
-  /// (the historical behavior).
-  uint64_t suspend_spill_host_budget_bytes = 0;
 };
 
 /// Synthetic id for the `step`-th decoded token of request `request_id`, used
@@ -316,19 +301,10 @@ struct ServingSnapshot {
   size_t preemptions = 0;
   size_t resumes = 0;
   /// Context parallelism: admissions (resumes included) that placed on a
-  /// multi-device gang, the modeled ring-exchange bytes their sessions moved
-  /// between members, and the rebalance probe's shard migrations (count and
-  /// modeled bytes) — see RequestSchedulerOptions::max_gang_size and
-  /// ServingEngineOptions::rebalance_skew_factor.
+  /// multi-device gang, and the modeled ring-exchange bytes their sessions
+  /// moved between members — see RequestSchedulerOptions::max_gang_size.
   size_t gang_admissions = 0;
   uint64_t gang_ring_transfer_bytes = 0;
-  size_t shard_migrations = 0;
-  uint64_t shard_migrated_bytes = 0;
-  /// Suspended-KV tiering (suspend_spill_host_budget_bytes): parked KVs
-  /// spilled to disk under host pressure, and spilled KVs paged back in at
-  /// resume. restores can lag spills when a request retires while spilled.
-  size_t suspend_spills = 0;
-  size_t suspend_restores = 0;
   double serve_wall_seconds = 0;   ///< Wall time the driver thread was live.
   double tokens_per_second = 0;    ///< Aggregate decode throughput.
   size_t peak_concurrent_sessions = 0;
@@ -484,11 +460,6 @@ class ServingEngine {
     /// generator state and resume restarts from them bit-identically.
     std::optional<Session::SuspendedState> suspended_kv;
     MemoryReservation host_kv_reservation;
-    /// Satellite of the suspend path: the parked KV was persisted to the tier
-    /// store's disk under host pressure (suspended_kv's cache is then empty;
-    /// the bytes live behind disk_kv_reservation until resume restores them).
-    bool suspended_on_disk = false;
-    MemoryReservation disk_kv_reservation;
   };
 
   /// One engine step's working set, threaded through the step phases.
@@ -539,35 +510,22 @@ class ServingEngine {
   /// FinalizeSuspended instead. Appends to active_ and `newly`.
   void ResumeSuspended(RequestScheduler::Admitted&& adm,
                        std::vector<ActiveSession*>* newly);
-  /// Host-pressure spill (suspend_spill_host_budget_bytes): persists a
-  /// suspended request's parked KV through the tier store's serializer under
-  /// the "suspend<id>" prefix and swaps the host reservation for a disk one.
-  /// On failure the KV stays host-resident — spilling is an optimization,
-  /// never a correctness gate.
-  Status SpillSuspendedKv(ActiveSession* a);
-  /// Resume-side page-in: loads the spilled KV back into suspended_kv
-  /// (bit-identical serializer round-trip) and releases the disk reservation.
-  Status RestoreSuspendedKv(ActiveSession* a);
-  /// Step-boundary rebalance probe (rebalance_skew_factor): migrates one
-  /// warm, unpinned context off the hottest device when reserved-byte skew
-  /// crosses the threshold.
-  void MaybeRebalance();
 
   // --- One engine step, as named phases (StepActiveSessions runs them) ---
 
   /// `step_timer` is the driver's wall timer for this step: sessions retired
   /// mid-step get their partial-step wall time attributed from it (the
-  /// driver's post-step attribution loop no longer sees them).
-  Status StepActiveSessions(const WallTimer& step_timer);
+  /// driver's post-step attribution loop no longer sees them). A session's
+  /// failure fails only that session.
+  void StepActiveSessions(const WallTimer& step_timer);
   /// Splits the active set into decoding and prefilling sessions, plans the
   /// step's token budget (PlanStep) and launches the prefill chunks into the
   /// wave. False when no session has work this step.
   bool BeginStep(StepState* s);
   /// One decode layer over the step's decoding sessions: Update fan-out,
   /// one batch of (session, kv_head) attention jobs, then per-session
-  /// accounting — and, after the last layer, token emission. A session's
-  /// failure fails only that session; the returned error is engine-level.
-  Status DecodeLayer(StepState* s, uint32_t layer);
+  /// accounting — and, after the last layer, token emission.
+  void DecodeLayer(StepState* s, uint32_t layer);
   /// Mid-step admission: admits queued requests while a step is in flight
   /// (between decode layers / during the wave join). Newly admitted
   /// Prefilling sessions draw a first chunk from the step's unspent budget

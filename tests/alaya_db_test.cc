@@ -87,6 +87,42 @@ TEST(AlayaDbTest, NegativeDiprBetaIsRejected) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AlayaDbTest, CrossDeviceResumeChargesSameTransferAsCreate) {
+  DbFixture fx;
+  fx.env.devices().EnsureAtLeast(2);
+  AlayaDB db(fx.options, &fx.env);
+  auto imported = db.Import(fx.TokenRange(100, 200), fx.MakeKv(200, 5));
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  const uint64_t id = imported.value();
+  ASSERT_EQ(db.contexts().FindShared(id)->resident_device(), 0);
+
+  // CreateSession on device 1 pulls the window of a context warm on device 0:
+  // device 1's clock pays the transfer and the context re-homes there.
+  const double create_before = fx.env.device(1).clock().Seconds();
+  auto created = db.CreateSession(fx.TokenRange(100, 210), /*device=*/1);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_EQ(created.value().reused_prefix, 200u);
+  const uint64_t bytes = created.value().cross_device_transfer_bytes;
+  EXPECT_GT(bytes, 0u);
+  const double create_charge = fx.env.device(1).clock().Seconds() - create_before;
+  EXPECT_GT(create_charge, 0.0);
+  EXPECT_EQ(db.contexts().FindShared(id)->resident_device(), 1);
+
+  // Resuming over the same prefix on device 0 moves the same window back:
+  // same bytes, same charge on device 0's clock, and the context re-homes.
+  const double resume_before = fx.env.device(0).clock().Seconds();
+  auto resumed = db.ResumeSession(id, 200, /*device=*/0);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().cross_device_transfer_bytes, bytes);
+  EXPECT_DOUBLE_EQ(fx.env.device(0).clock().Seconds() - resume_before, create_charge);
+  EXPECT_EQ(db.contexts().FindShared(id)->resident_device(), 0);
+
+  // A same-device resume moves nothing.
+  auto again = db.ResumeSession(id, 200, /*device=*/0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().cross_device_transfer_bytes, 0u);
+}
+
 TEST(AlayaDbTest, NoMatchCreatesFreshSession) {
   DbFixture fx;
   AlayaDB db(fx.options, &fx.env);

@@ -412,14 +412,15 @@ TEST(RequestSchedulerTest, PlanStepFloorsHeadPrefillerWhenDecodeSaturates) {
   RequestSchedulerOptions options;
   options.prefill_chunk_tokens = 8;
   options.step_token_budget = 4;
-  options.min_prefill_tokens = 2;
   RequestScheduler sched = fx.Make(options);
 
   // Decode alone eats the whole budget, but the head prefiller still gets its
-  // floor — otherwise a full decode batch would livelock every prefill.
+  // one-token floor — otherwise a full decode batch would livelock every
+  // prefill.
   const size_t remaining[] = {32, 32};
   const RequestScheduler::StepPlan plan = sched.PlanStep(10, remaining);
-  EXPECT_EQ(plan.chunks[0], 2u);
+  EXPECT_EQ(plan.decode_tokens, 10u);
+  EXPECT_EQ(plan.chunks[0], 1u);
   EXPECT_EQ(plan.chunks[1], 0u);
   EXPECT_EQ(plan.budget_left, 0u);
 }

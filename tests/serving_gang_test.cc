@@ -5,15 +5,10 @@
 // ring-merged partial softmax is exact, so ganging moves residency, never
 // math. Also: smallest-sufficient-gang admission (a subset budget gangs 2,
 // not 4), the kNeverFits gate relaxing to the largest permitted gang's
-// combined budget (the max servable context scales with gang size),
-// cross-device KV migration racing retirement/re-homing, the driver's
-// skew-triggered rebalance probe, suspend-spill of parked KV to disk with
-// bit-identical resume, and a TSan-targeted multi-gang stress run.
+// combined budget (the max servable context scales with gang size), and a
+// TSan-targeted multi-gang stress run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -36,13 +31,11 @@ struct GangFixture {
   std::vector<uint64_t> context_ids;
   ThreadPool pool{4};
 
-  explicit GangFixture(size_t num_tenants = 1, uint64_t tier_host_budget = 0)
-      : tenants(num_tenants) {
+  explicit GangFixture(size_t num_tenants = 1) : tenants(num_tenants) {
     options.model = model;
     options.session.optimizer.short_context_threshold = 64;
     options.session.window = WindowConfig{8, 16};
     options.materialize_pool = &pool;
-    options.tier.host_budget_bytes = tier_host_budget;
     db = std::make_unique<AlayaDB>(options, &env);
     for (size_t t = 0; t < tenants; ++t) {
       auto imported = db->Import(ContextTokens(t), MakeKv(/*seed=*/1 + t));
@@ -274,146 +267,6 @@ TEST(ServingGangTest, SchedulerGangKnobIsTheOnlyGangKnob) {
   auto h = engine.Submit(fx.MakeRequest(0, 41, kSteps));
   ASSERT_FALSE(h.ok());
   EXPECT_EQ(h.status().code(), StatusCode::kNeverFits);
-}
-
-TEST(ServingGangTest, MigrateShardSemanticsAndRaces) {
-  GangFixture fx(/*num_tenants=*/2);
-  SimEnvironment& env = fx.env;
-  env.devices().EnsureAtLeast(3);
-  const uint64_t id = fx.context_ids[0];
-
-  // Happy path: residency moves, the DESTINATION clock pays the modeled
-  // window transfer, and the byte count matches the cross-device reuse
-  // formula exactly.
-  const double before = env.device(1).clock().Seconds();
-  auto moved = fx.db->MigrateShard(id, /*from=*/0, /*to=*/1);
-  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
-  const WindowCache window(fx.options.session.window);
-  const size_t window_tokens =
-      std::min(window.Size(fx.context_tokens), fx.context_tokens);
-  EXPECT_EQ(moved.value(), window_tokens * fx.model.KvBytesPerToken());
-  EXPECT_GT(env.device(1).clock().Seconds(), before);
-  EXPECT_EQ(fx.db->contexts().FindShared(id)->resident_device(), 1);
-
-  // Stale plan (migration racing a session re-homing the context): the
-  // context is no longer resident on `from`, so the move must refuse instead
-  // of teleporting KV the planner mislocated.
-  auto stale = fx.db->MigrateShard(id, /*from=*/0, /*to=*/2);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(fx.db->contexts().FindShared(id)->resident_device(), 1);
-
-  // Degenerate move.
-  auto self = fx.db->MigrateShard(id, 1, 1);
-  ASSERT_FALSE(self.ok());
-  EXPECT_EQ(self.status().code(), StatusCode::kInvalidArgument);
-
-  // Migration racing retirement: the context was removed from the store
-  // between planning and execution — typed kNotFound, nothing charged.
-  const uint64_t gone = fx.context_ids[1];
-  ASSERT_TRUE(fx.db->contexts().Remove(gone));
-  const double clock2 = env.device(2).clock().Seconds();
-  auto removed = fx.db->MigrateShard(gone, 0, 2);
-  ASSERT_FALSE(removed.ok());
-  EXPECT_EQ(removed.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(env.device(2).clock().Seconds(), clock2);
-}
-
-TEST(ServingGangTest, RebalanceProbeShedsWarmShardOffHotDevice) {
-  constexpr size_t kSteps = 6;
-  // Two contexts warm on device 0; a decode pinned to device 0 makes it hot
-  // while device 1 idles. The step-boundary probe must migrate the OTHER
-  // (unpinned) context to the cold device — exactly once — and leave the
-  // running session's own context alone.
-  GangFixture fx(/*num_tenants=*/2);
-  ServingEngineOptions opts = fx.EngineOptions(1, 2);
-  opts.rebalance_skew_factor = 1.5;
-  ServingEngine engine(fx.db.get(), opts);
-  const RequestResult* r = RunOne(&engine, fx.MakeRequest(0, 41, kSteps));
-  ASSERT_NE(r, nullptr);
-  ASSERT_TRUE(r->status.ok()) << r->status.ToString();
-
-  const ServingSnapshot snap = engine.snapshot();
-  EXPECT_EQ(snap.shard_migrations, 1u);
-  const WindowCache window(fx.options.session.window);
-  const size_t window_tokens =
-      std::min(window.Size(fx.context_tokens), fx.context_tokens);
-  EXPECT_EQ(snap.shard_migrated_bytes,
-            window_tokens * fx.model.KvBytesPerToken());
-  // The bystander context moved to the cold device; the session's own
-  // context stayed where its session ran.
-  EXPECT_EQ(fx.db->contexts().FindShared(fx.context_ids[1])->resident_device(), 1);
-  EXPECT_EQ(fx.db->contexts().FindShared(fx.context_ids[0])->resident_device(), 0);
-}
-
-TEST(ServingGangTest, SuspendSpillToDiskResumesBitIdentical) {
-  constexpr size_t kLowSteps = 24;
-  constexpr size_t kHighSteps = 2;
-
-  // Golden: the same low-priority decode on an idle engine, never preempted.
-  GangFixture golden_fx(/*num_tenants=*/1, /*tier_host_budget=*/1ull << 30);
-  ServingEngine golden(golden_fx.db.get(), golden_fx.EngineOptions(1, 1));
-  const RequestResult* g =
-      RunOne(&golden, golden_fx.MakeRequest(0, 51, kLowSteps));
-  ASSERT_NE(g, nullptr);
-  ASSERT_TRUE(g->status.ok());
-
-  // Live engine, one slot, spill budget so small every suspension must park
-  // its KV on disk through the tier store rather than holding host DRAM.
-  GangFixture fx(/*num_tenants=*/1, /*tier_host_budget=*/1ull << 30);
-  ASSERT_NE(fx.db->tiers(), nullptr);
-  ServingEngineOptions opts = fx.EngineOptions(1, 1);
-  opts.suspend_spill_host_budget_bytes = 1;
-  ServingEngine engine(fx.db.get(), opts);
-  ASSERT_TRUE(engine.Start().ok());
-
-  // Deterministic interleaving: the low's first decoded token parks the
-  // driver until the high request is queued, so the low is provably
-  // mid-decode when the high contends for the only slot — it cannot race to
-  // completion on a loaded machine.
-  std::atomic<size_t> low_steps{0};
-  std::atomic<bool> high_submitted{false};
-  ServingRequest low = fx.MakeRequest(0, 51, kLowSteps);
-  low.priority = 0;
-  low.on_token = [&low_steps, &high_submitted](size_t step,
-                                               std::span<const float>) {
-    low_steps.fetch_add(1);
-    while (step == 0 && !high_submitted.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  };
-  auto lh = engine.Submit(std::move(low));
-  ASSERT_TRUE(lh.ok());
-  while (low_steps.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  ServingRequest high = fx.MakeRequest(0, 52, kHighSteps);
-  high.priority = 1;
-  auto hh = engine.Submit(std::move(high));
-  ASSERT_TRUE(hh.ok());
-  high_submitted.store(true);
-
-  const RequestResult* hr = hh.value().Wait();
-  ASSERT_NE(hr, nullptr);
-  EXPECT_TRUE(hr->status.ok()) << hr->status.ToString();
-  const RequestResult* lr = lh.value().Wait();
-  ASSERT_NE(lr, nullptr);
-  ASSERT_TRUE(lr->status.ok()) << lr->status.ToString();
-  engine.WaitIdle();
-  ASSERT_TRUE(engine.Shutdown().ok());
-
-  // The low kept every decode step across the spill/restore round-trip, and
-  // its outputs are bit-identical to the never-preempted golden — the
-  // serializer round-trip is exact, not approximate.
-  EXPECT_EQ(lr->steps_completed, kLowSteps);
-  EXPECT_GE(lr->preemptions, 1u);
-  EXPECT_EQ(lr->preemptions, lr->resumes);
-  EXPECT_EQ(lr->outputs, g->outputs);
-
-  const ServingSnapshot snap = engine.snapshot();
-  EXPECT_GE(snap.preemptions, 1u);
-  EXPECT_GE(snap.suspend_spills, 1u);
-  EXPECT_EQ(snap.suspend_spills, snap.suspend_restores);
 }
 
 TEST(ServingGangTest, MultiGangStressAllComplete) {

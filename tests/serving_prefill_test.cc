@@ -330,7 +330,8 @@ TEST(ServingPrefillTest, PrefillChargesModeledGpuTimeAndWallTime) {
   EXPECT_GT(fx.env.gpu_clock().Seconds(), clock_before);
 }
 
-// --- The batched prefill helper itself (src/query/batched_prefill.h). ---
+// --- The prefill wave itself (src/query/batched_prefill.h), the path the
+// engine launches every prefill chunk through. ---
 
 TEST(BatchedPrefillTest, BatchAppendsKvAndRecordsQueriesPerSession) {
   const ModelConfig model = ModelConfig::Tiny();
@@ -349,15 +350,17 @@ TEST(BatchedPrefillTest, BatchAppendsKvAndRecordsQueriesPerSession) {
   };
 
   ThreadPool pool(2);
-  std::vector<SessionPrefillJob> jobs{
-      {&s1, /*first_token=*/0, kCount1, fill, q1.data(), k1.data(), v1.data()},
-      {&s2, /*first_token=*/100, kCount2, fill, q2.data(), k2.data(), v2.data()},
-  };
-  std::vector<Status> per_job;
-  ASSERT_TRUE(ExecutePrefillJobs(jobs, &pool, &per_job).ok());
-  ASSERT_EQ(per_job.size(), 2u);
-  EXPECT_TRUE(per_job[0].ok()) << per_job[0].ToString();
-  EXPECT_TRUE(per_job[1].ok()) << per_job[1].ToString();
+  Status st1 = Status::Internal("not run"), st2 = Status::Internal("not run");
+  {
+    PrefillWave wave;
+    wave.Launch({&s1, /*first_token=*/0, kCount1, fill, q1.data(), k1.data(), v1.data()},
+                &st1, &pool);
+    wave.Launch({&s2, /*first_token=*/100, kCount2, fill, q2.data(), k2.data(), v2.data()},
+                &st2, &pool);
+    wave.Wait();
+  }
+  EXPECT_TRUE(st1.ok()) << st1.ToString();
+  EXPECT_TRUE(st2.ok()) << st2.ToString();
 
   for (uint32_t layer = 0; layer < model.num_layers; ++layer) {
     EXPECT_EQ(s1.LocalTokens(layer), kCount1);
@@ -392,19 +395,19 @@ TEST(BatchedPrefillTest, JobFailureIsIsolatedPerSession) {
     FillPromptToken(model, token, layer, qq, kk, vv);
   };
 
-  std::vector<SessionPrefillJob> jobs{
-      {&good, 0, 4, fill, q.data(), k.data(), v.data()},
-      {&bad, 0, 4, fill, nullptr, nullptr, nullptr},  // Missing scratch.
-  };
-  std::vector<Status> per_job;
-  ASSERT_TRUE(ExecutePrefillJobs(jobs, nullptr, &per_job).ok());
-  EXPECT_TRUE(per_job[0].ok());
-  EXPECT_EQ(per_job[1].code(), StatusCode::kInvalidArgument);
+  ThreadPool pool(2);
+  Status good_status, bad_status;
+  {
+    PrefillWave wave;
+    wave.Launch({&good, 0, 4, fill, q.data(), k.data(), v.data()}, &good_status, &pool);
+    wave.Launch({&bad, 0, 4, fill, nullptr, nullptr, nullptr},  // Missing scratch.
+                &bad_status, &pool);
+    wave.Wait();
+  }
+  EXPECT_TRUE(good_status.ok()) << good_status.ToString();
+  EXPECT_EQ(bad_status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(good.LocalTokens(), 4u);
   EXPECT_EQ(bad.LocalTokens(), 0u);
-
-  // Without per_job isolation the first error surfaces directly.
-  EXPECT_EQ(ExecutePrefillJobs(jobs).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
