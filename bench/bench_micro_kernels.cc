@@ -8,9 +8,14 @@
 //                       and exits non-zero if the int8 dot is not >= 1.5x the
 //                       scalar fp32 dot. The gate only binds when the runtime
 //                       dispatch level is wider than "scalar" — a scalar-only
-//                       host has no SIMD win to assert.
+//                       host has no SIMD win to assert. A second record times
+//                       layer 0's flat DIPR scan of one KV group (2 queries
+//                       over 8k x 64 keys of a synthetic context) in fp32 and
+//                       over the int8 key sidecar; it exits non-zero if the
+//                       two scans' hits differ (no speed gate).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +28,9 @@
 #include "src/common/vector_codec.h"
 #include "src/index/flat_index.h"
 #include "src/index/roargraph.h"
+#include "src/llm/qkv_generator.h"
 #include "src/query/diprs.h"
+#include "src/query/optimizer.h"
 #include "tests/test_util.h"
 
 namespace alaya {
@@ -74,8 +81,9 @@ void BM_DotI8(benchmark::State& state) {
 BENCHMARK(BM_DotI8)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_MatVecDotCoded(benchmark::State& state) {
-  // Decode-free scoring of a whole coded block vs the fp32 MatVecDot baseline
-  // (BM_MatVecDotFp32) on identical geometry.
+  // The batched coded kernel (int8 rows against an int16 query, exact int32
+  // sums) vs the fp32 matvec baseline (BM_MatVecDotFp32) on identical
+  // geometry.
   const size_t n = static_cast<size_t>(state.range(0)), d = 128;
   Rng rng(5);
   VectorSet rows(d);
@@ -86,10 +94,14 @@ void BM_MatVecDotCoded(benchmark::State& state) {
   }
   CodedVectorSet coded;
   coded.Encode(rows.View(), VectorCodec::kInt8);
-  std::vector<float> q(d), out(n);
+  std::vector<float> q(d);
   rng.FillGaussian(q.data(), d);
+  std::vector<int16_t> qcodes(d);
+  QuantizeQueryInt16(q.data(), d, qcodes.data());
+  std::vector<int32_t> out(n);
+  const KernelOps& ops = Kernels();
   for (auto _ : state) {
-    MatVecDotCoded(coded, q.data(), out.data());
+    ops.matvec_i8i16(coded.I8Row(0), n, d, qcodes.data(), 1, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -251,6 +263,76 @@ double TimeNsPerDot(size_t n, Fn&& fn) {
   return best;
 }
 
+struct GroupScanRecord {
+  size_t rows = 0, dim = 0, queries = 0;
+  double beta = 0, fp32_us = 0, sidecar_us = 0, rescored_fraction = 0;
+  bool equal = true;
+};
+
+/// Layer 0's flat DIPR scan of one KV group as a serving step runs it: the 2
+/// query heads sharing KV head 0 of an 8k-token synthetic context (the
+/// servebench model, d = 64), at the optimizer's default beta. Times the fp32
+/// scan and the int8-sidecar scan best-of-reps over 8 decode steps' queries,
+/// and checks their hits are identical.
+GroupScanRecord TimeGroupScan() {
+  SyntheticContextOptions opts;
+  opts.model = ModelConfig{2, 4, 2, 64, 2};
+  opts.spec = FindTask(InfinityBenchSuite(), "En.QA");
+  opts.spec.context_tokens = 8192;
+  SyntheticContext ctx(opts);
+  if (!ctx.Generate().ok()) std::abort();
+  const VectorSetView keys = ctx.kv().Keys(0, 0);
+  CodedVectorSet codes;
+  codes.Encode(keys, VectorCodec::kInt8);
+  const DiprParams params = OptimizerOptions{}.dipr;
+  const size_t d = keys.d, group = opts.model.GroupSize(), steps = 8;
+  std::vector<float> qbuf(steps * group * d);
+  std::vector<std::vector<const float*>> step_qs(steps);
+  for (size_t s = 0; s < steps; ++s) {
+    for (uint32_t h = 0; h < group; ++h) {
+      float* q = qbuf.data() + (s * group + h) * d;
+      ctx.MakeDecodeQuery(s, 0, h, q);
+      step_qs[s].push_back(q);
+    }
+  }
+  GroupScanRecord rec;
+  rec.rows = keys.n;
+  rec.dim = d;
+  rec.queries = group;
+  rec.beta = params.beta;
+  const FlatIndex fp32(keys), sidecar(keys, &codes);
+  std::vector<SearchResult> a(group), b(group);
+  uint64_t rescored = 0;
+  for (const std::vector<const float*>& qs : step_qs) {
+    if (!fp32.SearchDipr(qs, params, a.data()).ok() ||
+        !sidecar.SearchDipr(qs, params, b.data()).ok()) {
+      std::abort();
+    }
+    for (size_t h = 0; h < group; ++h) {
+      rescored += b[h].stats.rescored;
+      rec.equal = rec.equal && a[h].hits.size() == b[h].hits.size() &&
+                  std::equal(a[h].hits.begin(), a[h].hits.end(), b[h].hits.begin(),
+                             [](const ScoredId& x, const ScoredId& y) {
+                               return x.id == y.id && std::memcmp(&x.score, &y.score,
+                                                                  sizeof(float)) == 0;
+                             });
+    }
+  }
+  rec.rescored_fraction =
+      static_cast<double>(rescored) / static_cast<double>(steps * group * keys.n);
+  auto sweep = [&](const FlatIndex& index) {
+    return [&] {
+      for (const std::vector<const float*>& qs : step_qs) {
+        if (!index.SearchDipr(qs, params, a.data()).ok()) std::abort();
+      }
+    };
+  };
+  // TimeNsPerDot divides by its count: per call here, then to microseconds.
+  rec.fp32_us = TimeNsPerDot(steps, sweep(fp32)) * 1e-3;
+  rec.sidecar_us = TimeNsPerDot(steps, sweep(sidecar)) * 1e-3;
+  return rec;
+}
+
 int RunKernelGate(const std::string& json_path) {
   constexpr size_t kN = 8192, kD = 128, kSweeps = 8;
   Rng rng(17);
@@ -321,17 +403,30 @@ int RunKernelGate(const std::string& json_path) {
   const bool scalar_only = std::strcmp(KernelDispatchLevel(), "scalar") == 0;
   const double int8_speedup = scalar_fp32 / int8;
   const bool gate_pass = scalar_only || int8_speedup >= 1.5;
+  const GroupScanRecord scan = TimeGroupScan();
   std::fprintf(f, "  ],\n  \"gate\": {\"int8_min_speedup\": 1.5, \"int8_speedup\": %.3f, "
-                  "\"enforced\": %s, \"pass\": %s}\n}\n",
+                  "\"enforced\": %s, \"pass\": %s},\n",
                int8_speedup, scalar_only ? "false" : "true",
                gate_pass ? "true" : "false");
+  std::fprintf(f,
+               "  \"group_scan\": {\"rows\": %zu, \"dim\": %zu, \"queries\": %zu, "
+               "\"beta\": %.1f, \"fp32_us\": %.2f, \"int8_sidecar_us\": %.2f, "
+               "\"speedup\": %.3f, \"rescored_fraction\": %.4f, \"equal\": %s}\n}\n",
+               scan.rows, scan.dim, scan.queries, scan.beta, scan.fp32_us,
+               scan.sidecar_us, scan.fp32_us / scan.sidecar_us, scan.rescored_fraction,
+               scan.equal ? "true" : "false");
   std::fclose(f);
 
   std::printf("kernel gate: level=%s int8 dot %.2fx vs scalar fp32 (gate %.2fx, %s)\n",
               KernelDispatchLevel(), int8_speedup, 1.5,
               scalar_only ? "not enforced on scalar host"
                           : (gate_pass ? "PASS" : "FAIL"));
-  return gate_pass ? 0 : 1;
+  std::printf("group scan: %zu x %zu keys, %zu queries: fp32 %.1f us, int8 sidecar "
+              "%.1f us (%.2fx), %.1f%% of rows rescored, hits %s\n",
+              scan.rows, scan.dim, scan.queries, scan.fp32_us, scan.sidecar_us,
+              scan.fp32_us / scan.sidecar_us, 100 * scan.rescored_fraction,
+              scan.equal ? "equal" : "DIFFER");
+  return gate_pass && scan.equal ? 0 : 1;
 }
 
 }  // namespace

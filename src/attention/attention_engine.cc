@@ -11,7 +11,12 @@ size_t AccumulatePartition(const float* q, const KvPartition& part, float scale,
   const size_t d = part.keys.d;
   const KernelOps& ops = Kernels();  // Hoisted: one dispatch for the loop.
   size_t count = 0;
-  if (!part.ids.empty()) {
+  if (!part.scores.empty()) {
+    for (size_t i = 0; i < part.ids.size(); ++i) {
+      state->Accumulate(part.scores[i] * scale, part.values.Vec(part.ids[i]));
+      ++count;
+    }
+  } else if (!part.ids.empty()) {
     for (uint32_t id : part.ids) {
       const float logit = ops.dot(q, part.keys.Vec(id), d) * scale;
       state->Accumulate(logit, part.values.Vec(id));

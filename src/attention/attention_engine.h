@@ -22,6 +22,10 @@ struct KvPartition {
   std::span<const uint32_t> ids;
   uint32_t range_begin = 0;
   uint32_t range_end = 0;
+  /// When non-empty, scores[i] = Kernels().dot(q, keys.Vec(ids[i]), d) was
+  /// already computed (a flat scan's exact hit scores): the logits come from
+  /// it and the key rows are not read again.
+  std::span<const float> scores = {};
 };
 
 /// Per-call accounting.

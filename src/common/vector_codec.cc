@@ -157,9 +157,22 @@ float DotI8Scalar(const float* q, const int8_t* c, size_t d) {
   return s;
 }
 
+void MatVecI8I16Scalar(const int8_t* codes, size_t rows, size_t d,
+                       const int16_t* qs, size_t nq, int32_t* out) {
+  for (size_t j = 0; j < nq; ++j) {
+    const int16_t* q = qs + j * d;
+    for (size_t i = 0; i < rows; ++i) {
+      const int8_t* c = codes + i * d;
+      int32_t s = 0;
+      for (size_t k = 0; k < d; ++k) s += int32_t{q[k]} * int32_t{c[k]};
+      out[j * rows + i] = s;
+    }
+  }
+}
+
 constexpr KernelOps kScalarOps = {
-    DotScalar,  L2SqScalar,   AxpyScalar,  ScaleScalar,
-    MatVecScalar, DotF16Scalar, DotI8Scalar, "scalar",
+    DotScalar,    L2SqScalar,   AxpyScalar,  ScaleScalar,       MatVecScalar,
+    DotF16Scalar, DotI8Scalar,  MatVecI8I16Scalar, "scalar",
 };
 
 // --- AVX2 / FMA / F16C kernels ---------------------------------------------
@@ -265,9 +278,119 @@ __attribute__((target("avx2,fma"))) float DotI8Avx2(const float* q, const int8_t
   return s;
 }
 
+#define ALAYA_AVX2_INLINE __attribute__((target("avx2"), always_inline)) inline
+
+ALAYA_AVX2_INLINE int32_t HSumEpi32(__m256i v) {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtsi128_si32(s);
+}
+
+/// {Σ lanes of a0, of a1, of a2, of a3}.
+ALAYA_AVX2_INLINE __m128i HSum4Epi32(__m256i a0, __m256i a1, __m256i a2, __m256i a3) {
+  const __m256i h =
+      _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1), _mm256_hadd_epi32(a2, a3));
+  return _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
+}
+
+/// 16 int8 codes widened to int16.
+ALAYA_AVX2_INLINE __m256i WidenI8(const int8_t* c) {
+  return _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(c)));
+}
+
+/// acc + pairwise int32 sums of c * q over 16 int16 elements (exact).
+ALAYA_AVX2_INLINE __m256i MaddI16(__m256i acc, __m256i c, const int16_t* q) {
+  return _mm256_add_epi32(
+      acc, _mm256_madd_epi16(c, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q))));
+}
+
+/// Σ q[t] * c[t] over t in [from, d): the tail past the last 16-wide chunk.
+inline int32_t DotI8I16Tail(const int8_t* c, const int16_t* q, size_t from, size_t d) {
+  int32_t s = 0;
+  for (size_t t = from; t < d; ++t) s += int32_t{q[t]} * int32_t{c[t]};
+  return s;
+}
+
+/// One query q0 (kPair false) or a pair q0, q1 against every row. Four rows
+/// go at once, each 16-code chunk widened once and multiplied into both
+/// queries, with one horizontal reduction per four rows; every accumulator
+/// is a named register, so nothing spills.
+template <bool kPair>
+__attribute__((target("avx2"))) void MatVecI8I16Avx2Block(const int8_t* codes, size_t rows,
+                                                          size_t d, const int16_t* q0,
+                                                          int32_t* out0, const int16_t* q1,
+                                                          int32_t* out1) {
+  const size_t d16 = d & ~size_t{15};
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const int8_t* c = codes + i * d;
+    __m256i a0 = _mm256_setzero_si256(), a1 = a0, a2 = a0, a3 = a0;
+    __m256i b0 = a0, b1 = a0, b2 = a0, b3 = a0;
+    for (size_t k = 0; k < d16; k += 16) {
+      const __m256i c0 = WidenI8(c + k), c1 = WidenI8(c + d + k);
+      const __m256i c2 = WidenI8(c + 2 * d + k), c3 = WidenI8(c + 3 * d + k);
+      a0 = MaddI16(a0, c0, q0 + k);
+      a1 = MaddI16(a1, c1, q0 + k);
+      a2 = MaddI16(a2, c2, q0 + k);
+      a3 = MaddI16(a3, c3, q0 + k);
+      if constexpr (kPair) {
+        b0 = MaddI16(b0, c0, q1 + k);
+        b1 = MaddI16(b1, c1, q1 + k);
+        b2 = MaddI16(b2, c2, q1 + k);
+        b3 = MaddI16(b3, c3, q1 + k);
+      }
+    }
+    __m128i sa = HSum4Epi32(a0, a1, a2, a3);
+    if (d16 < d) {
+      sa = _mm_add_epi32(sa, _mm_setr_epi32(DotI8I16Tail(c, q0, d16, d),
+                                            DotI8I16Tail(c + d, q0, d16, d),
+                                            DotI8I16Tail(c + 2 * d, q0, d16, d),
+                                            DotI8I16Tail(c + 3 * d, q0, d16, d)));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out0 + i), sa);
+    if constexpr (kPair) {
+      __m128i sb = HSum4Epi32(b0, b1, b2, b3);
+      if (d16 < d) {
+        sb = _mm_add_epi32(sb, _mm_setr_epi32(DotI8I16Tail(c, q1, d16, d),
+                                              DotI8I16Tail(c + d, q1, d16, d),
+                                              DotI8I16Tail(c + 2 * d, q1, d16, d),
+                                              DotI8I16Tail(c + 3 * d, q1, d16, d)));
+      }
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out1 + i), sb);
+    }
+  }
+  for (; i < rows; ++i) {
+    const int8_t* c = codes + i * d;
+    __m256i a = _mm256_setzero_si256(), b = a;
+    for (size_t k = 0; k < d16; k += 16) {
+      const __m256i cw = WidenI8(c + k);
+      a = MaddI16(a, cw, q0 + k);
+      if constexpr (kPair) b = MaddI16(b, cw, q1 + k);
+    }
+    out0[i] = HSumEpi32(a) + DotI8I16Tail(c, q0, d16, d);
+    if constexpr (kPair) out1[i] = HSumEpi32(b) + DotI8I16Tail(c, q1, d16, d);
+  }
+}
+
+__attribute__((target("avx2"))) void MatVecI8I16Avx2(const int8_t* codes,
+                                                     size_t rows, size_t d,
+                                                     const int16_t* qs, size_t nq,
+                                                     int32_t* out) {
+  size_t j = 0;
+  for (; j + 2 <= nq; j += 2) {
+    MatVecI8I16Avx2Block<true>(codes, rows, d, qs + j * d, out + j * rows,
+                               qs + (j + 1) * d, out + (j + 1) * rows);
+  }
+  if (j < nq) {
+    MatVecI8I16Avx2Block<false>(codes, rows, d, qs + j * d, out + j * rows, nullptr,
+                                nullptr);
+  }
+}
+
 constexpr KernelOps kAvx2Ops = {
-    DotAvx2,  L2SqAvx2,   AxpyAvx2,  ScaleAvx2,
-    MatVecAvx2, DotF16Avx2, DotI8Avx2, "avx2",
+    DotAvx2,    L2SqAvx2,  AxpyAvx2,        ScaleAvx2, MatVecAvx2,
+    DotF16Avx2, DotI8Avx2, MatVecI8I16Avx2, "avx2",
 };
 
 #endif  // ALAYA_X86
@@ -360,9 +483,42 @@ float DotI8Neon(const float* q, const int8_t* c, size_t d) {
   return s;
 }
 
+template <size_t NB>
+void MatVecI8I16BlockNeon(const int8_t* codes, size_t rows, size_t d,
+                          const int16_t* qs, int32_t* out, size_t out_stride) {
+  for (size_t i = 0; i < rows; ++i) {
+    const int8_t* c = codes + i * d;
+    int32x4_t acc[NB];
+    for (size_t b = 0; b < NB; ++b) acc[b] = vdupq_n_s32(0);
+    size_t k = 0;
+    for (; k + 8 <= d; k += 8) {
+      const int16x8_t cw = vmovl_s8(vld1_s8(c + k));
+      for (size_t b = 0; b < NB; ++b) {
+        const int16x8_t qv = vld1q_s16(qs + b * d + k);
+        acc[b] = vmlal_s16(acc[b], vget_low_s16(cw), vget_low_s16(qv));
+        acc[b] = vmlal_s16(acc[b], vget_high_s16(cw), vget_high_s16(qv));
+      }
+    }
+    for (size_t b = 0; b < NB; ++b) {
+      int32_t s = vaddvq_s32(acc[b]);
+      for (size_t t = k; t < d; ++t) s += int32_t{qs[b * d + t]} * int32_t{c[t]};
+      out[b * out_stride + i] = s;
+    }
+  }
+}
+
+void MatVecI8I16Neon(const int8_t* codes, size_t rows, size_t d, const int16_t* qs,
+                     size_t nq, int32_t* out) {
+  size_t j = 0;
+  for (; j + 2 <= nq; j += 2) {
+    MatVecI8I16BlockNeon<2>(codes, rows, d, qs + j * d, out + j * rows, rows);
+  }
+  if (j < nq) MatVecI8I16BlockNeon<1>(codes, rows, d, qs + j * d, out + j * rows, rows);
+}
+
 constexpr KernelOps kNeonOps = {
-    DotNeon,  L2SqNeon,   AxpyNeon,  ScaleNeon,
-    MatVecNeon, DotF16Neon, DotI8Neon, "neon",
+    DotNeon,    L2SqNeon,  AxpyNeon,        ScaleNeon, MatVecNeon,
+    DotF16Neon, DotI8Neon, MatVecI8I16Neon, "neon",
 };
 
 #endif  // ALAYA_NEON
@@ -389,6 +545,35 @@ const KernelOps& Kernels() {
 const KernelOps& ScalarKernels() { return kScalarOps; }
 
 const char* KernelDispatchLevel() { return Kernels().level; }
+
+// --- int16 query quantization -----------------------------------------------
+
+int32_t Int16QueryRange(size_t d) {
+  constexpr int64_t kInt32Max = 2147483647;
+  if (d == 0) return 32767;
+  return static_cast<int32_t>(
+      std::min<int64_t>(32767, kInt32Max / (128 * static_cast<int64_t>(d))));
+}
+
+Int16Query QuantizeQueryInt16(const float* q, size_t d, int16_t* out) {
+  const int32_t range = Int16QueryRange(d);
+  float amax = 0.f;
+  for (size_t k = 0; k < d; ++k) amax = std::max(amax, std::fabs(q[k]));
+  Int16Query r;
+  r.step = amax / static_cast<float>(range);
+  const bool usable = r.step > 0.f && std::isfinite(r.step);
+  const float lim = static_cast<float>(range);
+  for (size_t k = 0; k < d; ++k) {
+    const float c = usable ? std::clamp(std::nearbyintf(q[k] / r.step), -lim, lim) : 0.f;
+    out[k] = static_cast<int16_t>(c);
+    // step * q̂ is exact in double (24-bit by 16-bit mantissas), so each
+    // residual carries only the subtraction's rounding.
+    r.l1 += std::fabs(static_cast<double>(q[k]));
+    r.err_l1 += std::fabs(static_cast<double>(q[k]) -
+                          static_cast<double>(r.step) * static_cast<double>(out[k]));
+  }
+  return r;
+}
 
 // --- Codec parameter fitting and in-place quantization ---------------------
 
@@ -451,6 +636,8 @@ void CodedVectorSet::EncodeWithParams(VectorSetView src, VectorCodec codec,
   params_ = params;
   n_ = 0;
   d_ = src.d;
+  max_residual_ = 0;
+  max_abs_ = 0;
   f16_.clear();
   i8_.clear();
   if (codec == VectorCodec::kFp32) return;  // Empty set == "score on fp32".
@@ -461,7 +648,22 @@ void CodedVectorSet::EncodeWithParams(VectorSetView src, VectorCodec codec,
     for (size_t i = 0; i < count; ++i) f16_[i] = Fp16FromFloat(src.data[i]);
   } else {
     i8_.resize(count);
-    for (size_t i = 0; i < count; ++i) i8_[i] = EncodeI8(src.data[i], params_);
+    // Residual r = x − s·(c − z), evaluated as fl(x − fl(s·fl(c − z))) in
+    // double. Each step rounds by at most 2^-53 relative, so the exact
+    // residual is within |r̃|·2^-52 + |k̂|·2^-51 of the computed one
+    // (k̂ = s·(c − z), |k̂| <= |x| + |r|); padding the maximum by
+    // 2^-50·(max|r̃| + max|x|) covers that for every element.
+    const double s = params_.scale, z = params_.zero_point;
+    double rmax = 0, xmax = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const int8_t c = EncodeI8(src.data[i], params_);
+      i8_[i] = c;
+      const double x = src.data[i];
+      rmax = std::max(rmax, std::fabs(x - s * (static_cast<double>(c) - z)));
+      xmax = std::max(xmax, std::fabs(x));
+    }
+    max_residual_ = rmax + 0x1p-50 * (rmax + xmax);
+    max_abs_ = xmax;
   }
 }
 
@@ -512,36 +714,6 @@ size_t RerankTopHits(const ScoringView& view, const float* q,
               return a.id < b.id;
             });
   return k;
-}
-
-// --- Batched coded forms ----------------------------------------------------
-
-void MatVecDotCoded(const CodedVectorSet& coded, const float* q, float* out) {
-  const KernelOps& ops = Kernels();
-  const size_t n = coded.size();
-  const size_t d = coded.dim();
-  switch (coded.codec()) {
-    case VectorCodec::kFp16:
-      for (uint32_t i = 0; i < n; ++i) out[i] = ops.dot_f16(q, coded.F16Row(i), d);
-      return;
-    case VectorCodec::kInt8: {
-      float q_sum = 0.f;
-      for (size_t i = 0; i < d; ++i) q_sum += q[i];
-      for (uint32_t i = 0; i < n; ++i) {
-        out[i] = DotInt8(ops, q, coded.I8Row(i), d, coded.params(), q_sum);
-      }
-      return;
-    }
-    case VectorCodec::kFp32:
-      return;  // Nothing stored: caller should MatVecDot the fp32 source.
-  }
-}
-
-void MultiQueryDotCoded(const CodedVectorSet& coded, const float* qs, size_t nq,
-                        float* out) {
-  const size_t n = coded.size();
-  const size_t d = coded.dim();
-  for (size_t j = 0; j < nq; ++j) MatVecDotCoded(coded, qs + j * d, out + j * n);
 }
 
 }  // namespace alaya

@@ -16,7 +16,9 @@
 //      vec_math.cc shipped before this layer existed; the coded kernels score
 //      *without decoding* (int8 uses the identity
 //      dot(q, dec(c)) = scale * (Σ q_i·c_i − zp·Σ q_i), with Σ q_i prepared
-//      once per query).
+//      once per query). The one batched coded kernel, `matvec_i8i16`, scores
+//      int8 rows against int16-quantized queries in exact int32 arithmetic,
+//      so every dispatch level returns the same integers.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +57,10 @@ float Fp16ToFloat(uint16_t h);
 ///                 budgets, and the spilled on-disk format);
 ///   rerank_k    — when index_codec != fp32, the top rerank_k hits of every
 ///                 search are re-scored against exact fp32 keys (0 disables).
+/// None of them controls the int8 key sidecar layer 0's flat DIPR scan runs
+/// on (Context::KeySidecar): every stored context gets one whatever
+/// index_codec says, and the scan stays exact. kv_codec int8 only lends it
+/// the KV cache's key params.
 struct QuantOptions {
   VectorCodec index_codec = VectorCodec::kFp32;
   VectorCodec kv_codec = VectorCodec::kFp32;
@@ -90,6 +96,13 @@ struct KernelOps {
   /// Raw Σ q_i * c_i over int8 codes — caller applies scale/zero-point via
   /// the q_sum identity (see DotInt8 below).
   float (*dot_i8)(const float* q, const int8_t* c, size_t d);
+  /// out[j * rows + i] = Σ_k qs[j * d + k] * codes[i * d + k] for `rows`
+  /// row-major int8 rows and `nq` row-major int16 queries. Integer-exact at
+  /// every dispatch level (the one exception to the ULP contract below) as
+  /// long as every |qs| <= Int16QueryRange(d), which keeps each sum inside
+  /// int32. Each code row is read once for all nq queries.
+  void (*matvec_i8i16)(const int8_t* codes, size_t rows, size_t d,
+                       const int16_t* qs, size_t nq, int32_t* out);
   const char* level;  ///< "scalar", "avx2", "neon" — for logs and benches.
 };
 
@@ -106,6 +119,27 @@ inline float DotInt8(const KernelOps& ops, const float* q, const int8_t* c,
                      size_t d, const CodecParams& p, float q_sum) {
   return p.scale * (ops.dot_i8(q, c, d) - p.zero_point * q_sum);
 }
+
+/// Largest |q̂| an int16 query of dimension d may hold so that
+/// Σ_k q̂_k·c_k over int8 codes (|c| <= 128) cannot leave int32:
+/// min(32767, floor((2^31 − 1) / (128·d))). The full int16 range holds up to
+/// d = 512.
+int32_t Int16QueryRange(size_t d);
+
+/// A query rounded onto an int16 grid: q ≈ step · q̂ with
+/// |q̂_k| <= Int16QueryRange(d). `l1` = ‖q‖₁ and `err_l1` = ‖q − step·q̂‖₁
+/// are evaluated in double (each within (d + 1)·2^-53 relative), for the
+/// error bound of a score computed from q̂. A zero or non-finite query gets
+/// step 0 (or non-finite) and all-zero codes: callers must not trust scores
+/// from it.
+struct Int16Query {
+  float step = 0.f;
+  double l1 = 0;
+  double err_l1 = 0;
+};
+
+/// Quantizes d floats to `out` (d int16) with step max|q| / Int16QueryRange(d).
+Int16Query QuantizeQueryInt16(const float* q, size_t d, int16_t* out);
 
 // --- Coded storage ---------------------------------------------------------
 
@@ -152,11 +186,20 @@ class CodedVectorSet {
     return f16_.capacity() * sizeof(uint16_t) + i8_.capacity() * sizeof(int8_t);
   }
 
+  /// int8 only (0 otherwise): an upper bound on |x − scale·(c − zero_point)|
+  /// over every encoded element, in exact arithmetic — the largest rounding
+  /// the encode left, measured in double and padded by that evaluation's own
+  /// error (a clamped element counts too) — and max |x| over the source.
+  double max_residual() const { return max_residual_; }
+  double max_abs() const { return max_abs_; }
+
  private:
   VectorCodec codec_ = VectorCodec::kFp32;
   size_t n_ = 0;
   size_t d_ = 0;
   CodecParams params_;
+  double max_residual_ = 0;
+  double max_abs_ = 0;
   std::vector<uint16_t> f16_;
   std::vector<int8_t> i8_;
 };
@@ -228,16 +271,5 @@ class QueryScorer {
 /// for the caller's SearchStats.
 size_t RerankTopHits(const ScoringView& view, const float* q,
                      std::vector<ScoredId>* hits);
-
-// --- Batched coded forms ---------------------------------------------------
-
-/// out[i] = <q, decode(row i)> for every row of `coded` (decode-free matvec).
-void MatVecDotCoded(const CodedVectorSet& coded, const float* q, float* out);
-
-/// Multi-query batch: out[j * coded.size() + i] = <q_j, decode(row i)> for
-/// queries q_0..q_{nq-1} packed row-major in `qs`. Per-query state (Σ q_j)
-/// is prepared once per query, amortized over all rows.
-void MultiQueryDotCoded(const CodedVectorSet& coded, const float* qs, size_t nq,
-                        float* out);
 
 }  // namespace alaya

@@ -45,6 +45,7 @@ Status Context::BuildFineIndices(const IndexBuildOptions& options,
     }
     build_stats_ = total;
     if (total_stats != nullptr) *total_stats = total;
+    BuildKeySidecars();
     return Status::Ok();
   }
 
@@ -81,6 +82,7 @@ Status Context::BuildFineIndices(const IndexBuildOptions& options,
   }
   build_stats_ = total;
   if (total_stats != nullptr) *total_stats = total;
+  BuildKeySidecars();
   return Status::Ok();
 }
 
@@ -102,7 +104,21 @@ Status Context::RestoreFineIndices(const RoarGraphOptions& options,
     }
   }
   fine_restored_ = true;
+  BuildKeySidecars();
   return Status::Ok();
+}
+
+void Context::BuildKeySidecars() {
+  const ModelConfig& cfg = kv_->config();
+  key_sidecars_.assign(cfg.num_kv_heads, CodedVectorSet{});
+  for (uint32_t h = 0; h < cfg.num_kv_heads; ++h) {
+    if (kv_->codec() == VectorCodec::kInt8) {
+      key_sidecars_[h].EncodeWithParams(kv_->Keys(0, h), VectorCodec::kInt8,
+                                        kv_->KeyParams(0, h));
+    } else {
+      key_sidecars_[h].Encode(kv_->Keys(0, h), VectorCodec::kInt8);
+    }
+  }
 }
 
 Status Context::BuildCoarseIndices(const CoarseIndexOptions& options) {
@@ -132,10 +148,21 @@ const CoarseIndex* Context::CoarseIdx(uint32_t layer, uint32_t kv_head) const {
   return idx < coarse_.size() ? coarse_[idx].get() : nullptr;
 }
 
+const CodedVectorSet* Context::KeySidecar(uint32_t layer, uint32_t kv_head) const {
+  return layer == 0 && kv_head < key_sidecars_.size() ? &key_sidecars_[kv_head]
+                                                      : nullptr;
+}
+
 uint64_t Context::IndexBytes() const {
-  uint64_t b = 0;
+  uint64_t b = KeySidecarBytes();
   for (const auto& f : fine_) b += f->MemoryBytes();
   for (const auto& c : coarse_) b += c->MemoryBytes();
+  return b;
+}
+
+uint64_t Context::KeySidecarBytes() const {
+  uint64_t b = 0;
+  for (const CodedVectorSet& s : key_sidecars_) b += s.MemoryBytes();
   return b;
 }
 

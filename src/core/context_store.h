@@ -76,7 +76,18 @@ class Context {
   const RoarGraph* FineIndex(uint32_t layer, uint32_t q_head) const;
   const CoarseIndex* CoarseIdx(uint32_t layer, uint32_t kv_head) const;
 
+  /// The int8 copy of (layer, kv_head)'s keys the flat DIPR scan runs its
+  /// first pass on (FlatIndex). Only layer 0 has one — the layer the
+  /// optimizer answers with a flat scan — and only once the fine indices are
+  /// built or restored; null otherwise.
+  const CodedVectorSet* KeySidecar(uint32_t layer, uint32_t kv_head) const;
+
+  /// Host bytes of every index: fine and coarse indices plus the key
+  /// sidecars.
   uint64_t IndexBytes() const;
+  /// The sidecars' share of IndexBytes(). A spill does not write them (they
+  /// are re-encoded from the keys on restore).
+  uint64_t KeySidecarBytes() const;
   const IndexBuildStats& build_stats() const { return build_stats_; }
   /// Restores persisted build accounting (ContextSerializer::Load): a
   /// warm-started context keeps its original construction cost, which the
@@ -103,6 +114,11 @@ class Context {
   }
 
  private:
+  /// (Re-)encodes key_sidecars_; the last step of every fine-index build,
+  /// extend and restore. An int8 KV cache lends its own key params, so the
+  /// codes are the ones its deployed form holds.
+  void BuildKeySidecars();
+
   uint64_t id_;
   std::vector<int32_t> tokens_;
   std::unique_ptr<KvCache> kv_;
@@ -114,6 +130,9 @@ class Context {
   std::vector<std::unique_ptr<RoarGraph>> fine_;
   bool fine_shared_ = true;
   bool fine_restored_ = false;
+  /// Layer 0's key sidecars, one per KV head (see KeySidecar). Contexts are
+  /// immutable once built, so they never go stale.
+  std::vector<CodedVectorSet> key_sidecars_;
   std::vector<std::unique_ptr<CoarseIndex>> coarse_;
   IndexBuildStats build_stats_;
 };

@@ -287,8 +287,8 @@ Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t
     std::vector<const float*> qs(count);
     for (uint32_t h = 0; h < count; ++h) qs[h] = q + h * d;
     scanned.resize(count);
-    ALAYA_RETURN_IF_ERROR(
-        FlatIndex(ctx_keys).SearchDipr(qs, plan.dipr, scanned.data(), plan.filter));
+    const FlatIndex flat(ctx_keys, context_->KeySidecar(layer, kv_head));
+    ALAYA_RETURN_IF_ERROR(flat.SearchDipr(qs, plan.dipr, scanned.data(), plan.filter));
     const double share = scan_timer.ElapsedSeconds() / count;
     for (uint32_t h = 0; h < count; ++h) stats[h].search_seconds += share;
   }
@@ -297,24 +297,24 @@ Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t
     const float* qh = q + h * d;
     AttentionCallStats& st = stats[h];
 
-    // Window-enhanced DIPRS prior (§7.1): best inner product over
-    // device-resident tokens (context window + local tail).
-    float prior = -1e30f;
-    WallTimer search_timer;
-    const KernelOps& ops = Kernels();
-    for (uint32_t id : ctx_window_ids) {
-      prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
-    }
-    for (uint32_t i = 0; i < n_local; ++i) {
-      prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
-    }
-    st.search.dist_comps += ctx_window_ids.size() + n_local;
-
     // --- Retrieval over the reused context. ---
+    WallTimer search_timer;
     SearchResult retrieved;
     if (!scanned.empty()) {
       retrieved = std::move(scanned[h]);
     } else if (prefix_len_ > 0) {
+      // Window-enhanced DIPRS prior (§7.1): best inner product over
+      // device-resident tokens (context window + local tail). Only Retrieve
+      // reads it.
+      float prior = -1e30f;
+      const KernelOps& ops = Kernels();
+      for (uint32_t id : ctx_window_ids) {
+        prior = std::max(prior, ops.dot(qh, ctx_keys.Vec(id), d));
+      }
+      for (uint32_t i = 0; i < n_local; ++i) {
+        prior = std::max(prior, ops.dot(qh, loc_keys.Vec(i), d));
+      }
+      st.search.dist_comps += ctx_window_ids.size() + n_local;
       ALAYA_RETURN_IF_ERROR(Retrieve(layer, first_q_head + h, qh, plan, prior, &retrieved));
     }
     st.search_seconds += search_timer.ElapsedSeconds();
@@ -324,19 +324,24 @@ Status Session::AttendQueryHeads(uint32_t layer, uint32_t first_q_head, uint32_t
     // --- Data-centric partial attention (§7.2). ---
     WallTimer attn_timer;
     // Partition 1 (CPU, where the offloaded context lives): retrieved critical
-    // tokens minus those already in the device window.
+    // tokens minus those already in the device window. A flat scan's hit
+    // scores are the exact Kernels().dot the partition would compute, so its
+    // logits come from them and each key row is read once per step.
     std::vector<uint32_t> cpu_ids;
+    std::vector<float> cpu_scores;
     cpu_ids.reserve(retrieved.hits.size());
     for (const ScoredId& hit : retrieved.hits) {
       const bool in_window =
           hit.id < init_end ||
           (recent > n_local && hit.id >= prefix_len_ - std::min(prefix_len_,
                                                                 recent - n_local));
-      if (!in_window) cpu_ids.push_back(hit.id);
+      if (in_window) continue;
+      cpu_ids.push_back(hit.id);
+      if (!scanned.empty()) cpu_scores.push_back(hit.score);
     }
     PartialAttention cpu_state(d);
     if (!cpu_ids.empty()) {
-      KvPartition part{ctx_keys, ctx_vals, cpu_ids, 0, 0};
+      KvPartition part{ctx_keys, ctx_vals, cpu_ids, 0, 0, cpu_scores};
       st.attended_tokens += AccumulatePartition(qh, part, scale, &cpu_state);
     }
 
@@ -390,7 +395,8 @@ Status Session::Retrieve(uint32_t layer, uint32_t q_head, const float* qh,
       [[fallthrough]];  // No fine index: degrade to flat scan.
     }
     case IndexClass::kFlat: {
-      FlatIndex flat(context_->kv().Keys(layer, kv_head));
+      const FlatIndex flat(context_->kv().Keys(layer, kv_head),
+                           context_->KeySidecar(layer, kv_head));
       return plan.query == QueryClass::kDipr
                  ? flat.SearchDipr(qh, plan.dipr, out, filter)
                  : flat.SearchTopK(qh, plan.topk, out, filter);

@@ -26,14 +26,18 @@ const char* IndexClassName(IndexClass c);
 
 /// Counters accumulated during one search.
 struct SearchStats {
-  uint64_t dist_comps = 0;  ///< Inner products evaluated.
+  uint64_t dist_comps = 0;  ///< Rows scored (inner products evaluated).
   uint64_t hops = 0;        ///< Graph nodes expanded.
   uint64_t appended = 0;    ///< Candidates appended (DIPRS list growth).
+  /// Exact fp32 inner products a flat scan spent after its int8 pass, on the
+  /// rows that pass could not rule out (0 for a plain fp32 scan).
+  uint64_t rescored = 0;
 
   SearchStats& operator+=(const SearchStats& o) {
     dist_comps += o.dist_comps;
     hops += o.hops;
     appended += o.appended;
+    rescored += o.rescored;
     return *this;
   }
 };

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 
 #include "src/common/rng.h"
+#include "src/index/flat_index.h"
 #include "src/query/diprs.h"
 
 namespace alaya {
@@ -52,6 +54,72 @@ struct SerializerFixture {
     return ctx;
   }
 };
+
+/// Layer 0's key sidecars of `got` equal those of `want`: the same codes,
+/// params and bounds, and a flat DIPR scan over them returns the same hits,
+/// scores and counters.
+void ExpectSameKeySidecars(const Context& got, const Context& want) {
+  const ModelConfig& m = want.kv().config();
+  EXPECT_EQ(got.KeySidecarBytes(), want.KeySidecarBytes());
+  EXPECT_EQ(got.IndexBytes(), want.IndexBytes());
+  for (uint32_t h = 0; h < m.num_kv_heads; ++h) {
+    SCOPED_TRACE(testing::Message() << "kv head " << h);
+    const CodedVectorSet* a = got.KeySidecar(0, h);
+    const CodedVectorSet* b = want.KeySidecar(0, h);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(a->codec(), VectorCodec::kInt8);
+    ASSERT_EQ(a->size(), b->size());
+    EXPECT_EQ(std::memcmp(a->I8Row(0), b->I8Row(0), a->size() * a->dim()), 0);
+    EXPECT_EQ(a->params().scale, b->params().scale);
+    EXPECT_EQ(a->params().zero_point, b->params().zero_point);
+    EXPECT_EQ(a->max_residual(), b->max_residual());
+    EXPECT_EQ(a->max_abs(), b->max_abs());
+    std::vector<float> q(m.head_dim);
+    Rng rng(0x51DECA5 + h);
+    rng.FillGaussian(q.data(), q.size());
+    for (float beta : {0.5f, 4.f}) {
+      SearchResult x, y;
+      ASSERT_TRUE(FlatIndex(got.kv().Keys(0, h), a).SearchDipr(q.data(), {beta}, &x).ok());
+      ASSERT_TRUE(FlatIndex(want.kv().Keys(0, h), b).SearchDipr(q.data(), {beta}, &y).ok());
+      ASSERT_EQ(x.hits.size(), y.hits.size());
+      for (size_t i = 0; i < x.hits.size(); ++i) {
+        EXPECT_EQ(x.hits[i].id, y.hits[i].id);
+        EXPECT_EQ(x.hits[i].score, y.hits[i].score);
+      }
+      EXPECT_EQ(x.stats.dist_comps, y.stats.dist_comps);
+      EXPECT_EQ(x.stats.rescored, y.stats.rescored);
+      EXPECT_GT(x.stats.rescored, 0u);
+    }
+  }
+  EXPECT_EQ(got.KeySidecar(1, 0), nullptr);  // Only layer 0 scans flat.
+}
+
+TEST(ContextSerializerTest, LoadReencodesTheSameKeySidecars) {
+  // The sidecars are not persisted: Load re-encodes them from the restored
+  // keys (with the persisted params under int8 KV), and the result is the
+  // resident context's, code for code. The manifest records the index bytes
+  // the spill wrote, which leave the sidecars out.
+  for (VectorCodec kv_codec : {VectorCodec::kFp32, VectorCodec::kInt8}) {
+    SCOPED_TRACE(VectorCodecName(kv_codec));
+    SerializerFixture fx;
+    auto original = fx.MakeContext(300, 11, /*build_indices=*/false);
+    original->mutable_kv().QuantizeInPlace(kv_codec);
+    ASSERT_TRUE(original->BuildFineIndices(IndexBuildOptions{}, nullptr, nullptr).ok());
+    ASSERT_GT(original->KeySidecarBytes(), 0u);
+    EXPECT_EQ(original->KeySidecarBytes(),
+              uint64_t{fx.model.num_kv_heads} * 300 * fx.model.head_dim);
+    ContextSerializer ser(&fx.vfs);
+    ASSERT_TRUE(ser.Persist(*original, "sidecar").ok());
+    auto man = ser.LoadManifest("sidecar", fx.model);
+    ASSERT_TRUE(man.ok()) << man.status().ToString();
+    EXPECT_EQ(man.value().index_bytes,
+              original->IndexBytes() - original->KeySidecarBytes());
+    auto loaded = ser.Load("sidecar", 3, fx.model, RoarGraphOptions{});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSameKeySidecars(*loaded.value(), *original);
+  }
+}
 
 TEST(ContextSerializerTest, RoundtripKvAndTokens) {
   SerializerFixture fx;

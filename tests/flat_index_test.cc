@@ -337,6 +337,336 @@ TEST(FlatIndexTest, MultiQueryDiprEqualsSingleQueryCalls) {
   EXPECT_TRUE(index.SearchDipr(qs, DiprParams{}, nullptr).IsInvalidArgument());
 }
 
+// --- The coded scan: int8 sidecar, certified keep bound, fp32 rescore ------
+
+CodedVectorSet Int8Sidecar(const VectorSet& set) {
+  CodedVectorSet codes;
+  codes.Encode(set.View(), VectorCodec::kInt8);
+  return codes;
+}
+
+// The coded scan's result for each query of `qs` equals the fp32 scan's (and
+// its one-query calls) bit for bit, and its counters add up.
+void ExpectCodedEqualsFp32(const VectorSet& set, const CodedVectorSet& codes,
+                           const std::vector<const float*>& qs, const DiprParams& params,
+                           const IdFilter& filter = {}) {
+  const FlatIndex plain(set.View());
+  const FlatIndex coded(set.View(), &codes);
+  std::vector<SearchResult> want(qs.size()), got(qs.size());
+  ASSERT_TRUE(plain.SearchDipr(qs, params, want.data(), filter).ok());
+  ASSERT_TRUE(coded.SearchDipr(qs, params, got.data(), filter).ok());
+  for (size_t j = 0; j < qs.size(); ++j) {
+    SCOPED_TRACE(testing::Message() << "query " << j << " beta=" << params.beta
+                                    << " max_tokens=" << params.max_tokens
+                                    << " filter=" << filter.prefix_len);
+    ExpectSameResult(got[j], want[j]);
+    EXPECT_EQ(want[j].stats.rescored, 0u);
+    EXPECT_LE(got[j].stats.rescored, got[j].stats.dist_comps);
+    if (params.max_tokens == 0) EXPECT_GE(got[j].stats.rescored, got[j].hits.size());
+    SearchResult single;
+    ASSERT_TRUE(coded.SearchDipr(qs[j], params, &single, filter).ok());
+    ExpectSameResult(single, got[j]);
+    EXPECT_EQ(single.stats.rescored, got[j].stats.rescored);
+  }
+}
+
+std::vector<const float*> QueryPointers(const std::vector<float>& buf, size_t d) {
+  std::vector<const float*> qs;
+  for (size_t j = 0; j + d <= buf.size(); j += d) qs.push_back(buf.data() + j);
+  return qs;
+}
+
+TEST(FlatIndexCodedTest, EqualsFp32ScanOnRandomData) {
+  const size_t d = 64;
+  VectorSet set = MakeRandomSet(1500, d, 31);
+  const CodedVectorSet codes = Int8Sidecar(set);
+  Rng rng(32);
+  std::vector<float> qbuf(2 * d);
+  IdFilter prefix;
+  prefix.prefix_len = 600;
+  for (int trial = 0; trial < 3; ++trial) {
+    rng.FillGaussian(qbuf.data(), qbuf.size());
+    for (float beta : {0.f, 0.5f, 2.f, 8.f, 50.f, 1e6f}) {
+      for (size_t max_tokens : {size_t{0}, size_t{1}, size_t{7}}) {
+        for (const IdFilter& filter : {IdFilter{}, prefix}) {
+          DiprParams params;
+          params.beta = beta;
+          params.max_tokens = max_tokens;
+          ExpectCodedEqualsFp32(set, codes, QueryPointers(qbuf, d), params, filter);
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatIndexCodedTest, RescoresOnlyWhatTheBoundCannotRuleOut) {
+  // On Gaussian keys at a modest beta the int8 pass rules out most rows.
+  const size_t d = 64;
+  VectorSet set = MakeRandomSet(4000, d, 33);
+  const CodedVectorSet codes = Int8Sidecar(set);
+  Rng rng(34);
+  std::vector<float> q(d);
+  rng.FillGaussian(q.data(), d);
+  DiprParams params;
+  params.beta = 4.f;
+  SearchResult res;
+  ASSERT_TRUE(FlatIndex(set.View(), &codes).SearchDipr(q.data(), params, &res).ok());
+  EXPECT_EQ(res.stats.dist_comps, 4000u);
+  EXPECT_GT(res.stats.rescored, 0u);
+  EXPECT_LT(res.stats.rescored * 4, res.stats.dist_comps);
+}
+
+TEST(FlatIndexCodedTest, DimsThatAreNotAMultipleOfSixteen) {
+  for (size_t d : {1, 7, 17, 33, 100}) {
+    VectorSet set = MakeRandomSet(300, d, 40 + d);
+    const CodedVectorSet codes = Int8Sidecar(set);
+    Rng rng(41 + d);
+    std::vector<float> qbuf(3 * d);
+    rng.FillGaussian(qbuf.data(), qbuf.size());
+    for (float beta : {0.f, 1.f, 5.f}) {
+      DiprParams params;
+      params.beta = beta;
+      SCOPED_TRACE(testing::Message() << "d=" << d);
+      ExpectCodedEqualsFp32(set, codes, QueryPointers(qbuf, d), params);
+    }
+  }
+}
+
+TEST(FlatIndexCodedTest, RowsPlantedWithinOneUlpOfTheCut) {
+  // beta = D* − D_r puts row r exactly on the cut (Sterbenz: both scores are
+  // within a factor of two, so the subtraction and D* − beta are exact);
+  // one ulp either way moves it just inside or just outside.
+  const size_t d = 48;
+  VectorSet set = MakeRandomSet(800, d, 51);
+  std::vector<float> shifted(d);
+  for (uint32_t i = 0; i < set.size(); ++i) {
+    float* row = set.MutableVec(i);
+    for (size_t k = 0; k < d; ++k) row[k] = row[k] * 0.1f + 1.f;  // Scores > 0.
+  }
+  const CodedVectorSet codes = Int8Sidecar(set);
+  Rng rng(52);
+  std::vector<float> q(d);
+  for (float& x : q) x = 0.5f + 0.01f * static_cast<float>(rng.UniformInt(100));
+  std::vector<float> scores(set.size());
+  Kernels().matvec(set.View().data, set.size(), d, q.data(), scores.data());
+  const float top = *std::max_element(scores.begin(), scores.end());
+  int planted = 0;
+  for (uint32_t r = 0; r < set.size(); r += 37) {
+    ASSERT_LE(scores[r], top);
+    ASSERT_GE(scores[r], top / 2);
+    const float beta = top - scores[r];
+    ASSERT_EQ(top - beta, scores[r]);
+    for (float b : {beta, std::nextafter(beta, 0.f), std::nextafter(beta, 1e30f)}) {
+      DiprParams params;
+      params.beta = b;
+      ExpectCodedEqualsFp32(set, codes, {q.data()}, params);
+    }
+    ++planted;
+  }
+  EXPECT_GT(planted, 10);
+}
+
+TEST(FlatIndexCodedTest, TiesOnEveryRow) {
+  const size_t d = 20;
+  VectorSet set(d);
+  std::vector<float> row(d);
+  Rng rng(61);
+  rng.FillGaussian(row.data(), d);
+  for (int i = 0; i < 120; ++i) set.Append(row.data());
+  const CodedVectorSet codes = Int8Sidecar(set);
+  std::vector<float> qbuf(2 * d);
+  rng.FillGaussian(qbuf.data(), qbuf.size());
+  for (float beta : {0.f, 1.f}) {
+    for (size_t max_tokens : {size_t{0}, size_t{5}}) {
+      DiprParams params;
+      params.beta = beta;
+      params.max_tokens = max_tokens;
+      ExpectCodedEqualsFp32(set, codes, QueryPointers(qbuf, d), params);
+    }
+  }
+  SearchResult res;
+  ASSERT_TRUE(FlatIndex(set.View(), &codes).SearchDipr(qbuf.data(), DiprParams{0.f}, &res).ok());
+  ASSERT_EQ(res.hits.size(), 120u);
+  for (uint32_t i = 0; i < 120; ++i) EXPECT_EQ(res.hits[i].id, i);
+}
+
+TEST(FlatIndexCodedTest, Int8KvCodecKeysOnTheirOwnGrid) {
+  // kv_codec int8 stores keys on the grid and lends the sidecar its params:
+  // the key residual is (nearly) zero and the kept set shrinks to the DIPR set.
+  const size_t n = 1200, d = 64;
+  VectorSet set = MakeRandomSet(n, d, 71);
+  CodecParams p;
+  QuantizeRows(set.MutableVec(0), n, d, VectorCodec::kInt8, &p);
+  CodedVectorSet codes;
+  codes.EncodeWithParams(set.View(), VectorCodec::kInt8, p);
+  EXPECT_LT(codes.max_residual(), 1e-5 * p.scale);
+  Rng rng(72);
+  std::vector<float> qbuf(2 * d);
+  IdFilter prefix;
+  prefix.prefix_len = 500;
+  for (int trial = 0; trial < 3; ++trial) {
+    rng.FillGaussian(qbuf.data(), qbuf.size());
+    for (float beta : {0.f, 2.f, 10.f}) {
+      for (const IdFilter& filter : {IdFilter{}, prefix}) {
+        DiprParams params;
+        params.beta = beta;
+        ExpectCodedEqualsFp32(set, codes, QueryPointers(qbuf, d), params, filter);
+      }
+    }
+  }
+}
+
+TEST(FlatIndexCodedTest, MismatchedSidecarIsIgnored) {
+  VectorSet set = MakeRandomSet(100, 16, 81);
+  VectorSet shorter = MakeRandomSet(50, 16, 82);
+  VectorSet narrower = MakeRandomSet(100, 8, 83);
+  CodedVectorSet fp16;
+  fp16.Encode(set.View(), VectorCodec::kFp16);
+  std::vector<float> q(16, 1.f);
+  SearchResult want;
+  ASSERT_TRUE(FlatIndex(set.View()).SearchDipr(q.data(), DiprParams{}, &want).ok());
+  for (const CodedVectorSet& bad : {Int8Sidecar(shorter), Int8Sidecar(narrower), fp16}) {
+    SearchResult got;
+    ASSERT_TRUE(FlatIndex(set.View(), &bad).SearchDipr(q.data(), DiprParams{}, &got).ok());
+    ExpectSameResult(got, want);
+    EXPECT_EQ(got.stats.rescored, 0u);
+  }
+  // A filter short enough for the shorter sidecar uses it.
+  const CodedVectorSet prefix_codes = Int8Sidecar(set);
+  IdFilter prefix;
+  prefix.prefix_len = 40;
+  ExpectCodedEqualsFp32(set, prefix_codes, {q.data()}, DiprParams{}, prefix);
+}
+
+// Each term of the keep bound E (flat_index.cc) is load-bearing: the next
+// three cases make the fp32 argmax trail the int8 argmax by more than the
+// other two terms allow, so a scan without that term drops the true answer.
+// Integer keys spanning [-128, 127] fix the sidecar at scale 1, zero point 0.
+
+TEST(FlatIndexCodedTest, KeyRoundingTermKeepsTheTrueArgmax) {
+  // Row 1 sits 0.499 above the grid in every coordinate, so its codes round
+  // down; row 0 is on the grid, one step up in 7 of 16 coordinates. The int8
+  // pass ranks row 0 first by 7·32767 units, the fp32 scores row 1 first.
+  const size_t d = 16;
+  VectorSet set(d);
+  std::vector<float> row(d);
+  for (size_t k = 0; k < d; ++k) row[k] = k < 7 ? 51.f : 50.f;
+  set.Append(row.data());
+  std::fill(row.begin(), row.end(), 50.499f);
+  set.Append(row.data());
+  for (size_t k = 0; k < d; ++k) row[k] = k % 2 == 0 ? -128.f : 127.f;
+  set.Append(row.data());
+  const CodedVectorSet codes = Int8Sidecar(set);
+  ASSERT_EQ(codes.params().scale, 1.f);
+  ASSERT_EQ(codes.params().zero_point, 0.f);
+  std::vector<float> q(d, 1.f);
+  DiprParams params;
+  params.beta = 0.f;
+  SearchResult res;
+  ASSERT_TRUE(FlatIndex(set.View(), &codes).SearchDipr(q.data(), params, &res).ok());
+  ASSERT_EQ(res.hits.size(), 1u);
+  EXPECT_EQ(res.hits[0].id, 1u);
+  ExpectCodedEqualsFp32(set, codes, {q.data()}, params);
+}
+
+TEST(FlatIndexCodedTest, QueryRoundingTermKeepsTheTrueArgmax) {
+  // The query is 32767 in coordinate 0 (step 1) and m + 0.49 elsewhere, so
+  // every other coordinate rounds down by 0.49. Row 1 (127 in coordinates
+  // 1..63) gains 63·0.49·127 ≈ 3920 from that rounding and beats row 0
+  // (1 in coordinate 0) in fp32, while trailing it by 1017 int8 units.
+  const size_t d = 64;
+  VectorSet set(d);
+  std::vector<float> row(d, 0.f);
+  row[0] = 1.f;
+  set.Append(row.data());
+  std::fill(row.begin(), row.end(), 127.f);
+  row[0] = 0.f;
+  set.Append(row.data());
+  for (size_t k = 0; k < d; ++k) row[k] = k % 2 == 0 ? -128.f : 127.f;
+  set.Append(row.data());
+  const CodedVectorSet codes = Int8Sidecar(set);
+  ASSERT_EQ(codes.params().scale, 1.f);
+  ASSERT_EQ(codes.params().zero_point, 0.f);
+  std::vector<float> q(d);
+  q[0] = 32767.f;
+  for (size_t k = 1; k < d; ++k) q[k] = (k < 63 ? 4.f : 2.f) + 0.49f;  // Σ m = 250.
+  std::vector<int16_t> qhat(d);
+  ASSERT_EQ(QuantizeQueryInt16(q.data(), d, qhat.data()).step, 1.f);
+  DiprParams params;
+  params.beta = 0.f;
+  SearchResult res;
+  ASSERT_TRUE(FlatIndex(set.View(), &codes).SearchDipr(q.data(), params, &res).ok());
+  ASSERT_EQ(res.hits.size(), 1u);
+  EXPECT_EQ(res.hits[0].id, 1u);
+  ExpectCodedEqualsFp32(set, codes, {q.data()}, params);
+}
+
+TEST(FlatIndexCodedTest, DotRoundingTermKeepsTheTrueArgmax) {
+  // Keys and query both on their grids (no key or query rounding), with
+  // scores near 2^28 where fp32 spacing is 16: among single-step
+  // perturbations of one row, find a pair whose exact scores differ by >= 3
+  // units but whose fp32 scores are ordered the other way. Without the dot
+  // term the int8 pass would keep only rows within 2 units of its maximum.
+  const size_t d = 64;
+  Rng rng(91);
+  std::vector<float> q(d), base(d);
+  for (size_t k = 0; k < d; ++k) {
+    q[k] = k == 0 ? 32767.f : static_cast<float>(30000 + rng.UniformInt(2767));
+    base[k] = static_cast<float>(100 + rng.UniformInt(26));
+  }
+  struct Cand {
+    std::vector<float> row;
+    int64_t exact;
+    float fp32;
+  };
+  std::vector<Cand> cands;
+  for (size_t a = 0; a < d; ++a) {
+    for (size_t b = 0; b < d; ++b) {
+      if (a == b) continue;
+      Cand c{base, 0, 0.f};
+      c.row[a] += 1.f;
+      c.row[b] -= 1.f;
+      for (size_t k = 0; k < d; ++k) {
+        c.exact += static_cast<int64_t>(q[k]) * static_cast<int64_t>(c.row[k]);
+      }
+      c.fp32 = Kernels().dot(q.data(), c.row.data(), d);
+      cands.push_back(std::move(c));
+    }
+  }
+  std::sort(cands.begin(), cands.end(),
+            [](const Cand& x, const Cand& y) { return x.exact < y.exact; });
+  const Cand* hi = nullptr;  // Higher exact score, lower fp32 score.
+  const Cand* lo = nullptr;
+  for (size_t i = 0; i < cands.size() && hi == nullptr; ++i) {
+    for (size_t j = i + 1; j < cands.size(); ++j) {
+      if (cands[j].exact - cands[i].exact < 3) continue;
+      if (cands[j].exact - cands[i].exact > 64) break;
+      if (cands[j].fp32 < cands[i].fp32) {
+        hi = &cands[j];
+        lo = &cands[i];
+        break;
+      }
+    }
+  }
+  ASSERT_NE(hi, nullptr) << "no fp32-reversed pair among the perturbations";
+  VectorSet set(d);
+  set.Append(hi->row.data());
+  set.Append(lo->row.data());
+  std::vector<float> extremes(d, -128.f);
+  extremes[0] = 127.f;
+  set.Append(extremes.data());
+  const CodedVectorSet codes = Int8Sidecar(set);
+  ASSERT_EQ(codes.params().scale, 1.f);
+  ASSERT_EQ(codes.params().zero_point, 0.f);
+  DiprParams params;
+  params.beta = 0.f;
+  SearchResult res;
+  ASSERT_TRUE(FlatIndex(set.View(), &codes).SearchDipr(q.data(), params, &res).ok());
+  ASSERT_FALSE(res.hits.empty());
+  EXPECT_EQ(res.hits[0].id, 1u);  // The fp32 argmax, though int8 ranks it second.
+  ExpectCodedEqualsFp32(set, codes, {q.data()}, params);
+}
+
 TEST(FlatIndexTest, RebindSeesGrownSet) {
   VectorSet set = MakeRandomSet(10, 8, 10);
   FlatIndex index(set.View());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/common/rng.h"
 #include "src/common/vector_codec.h"
 #include "src/core/alaya_db.h"
+#include "src/index/flat_index.h"
 #include "src/server/serving_engine.h"
 
 namespace alaya {
@@ -167,6 +169,76 @@ TEST(TieredStoreTest, BudgetEvictionThenPageInIsBitIdentical) {
   // The whole run — imports, evictions, page-in — never overshot the budget:
   // headroom is made before bytes attach, so even the PEAK stays under.
   EXPECT_LE(fx.env.host_memory().peak(), fx.options.tier.host_budget_bytes);
+}
+
+/// Layer 0's key sidecars of `got` equal those of `want`: the same codes,
+/// params and bounds, and a flat DIPR scan over them returns the same hits,
+/// scores and counters.
+void ExpectSameKeySidecars(const Context& got, const Context& want) {
+  const ModelConfig& m = want.kv().config();
+  EXPECT_EQ(got.KeySidecarBytes(), want.KeySidecarBytes());
+  EXPECT_EQ(got.IndexBytes(), want.IndexBytes());
+  for (uint32_t h = 0; h < m.num_kv_heads; ++h) {
+    SCOPED_TRACE(testing::Message() << "kv head " << h);
+    const CodedVectorSet* a = got.KeySidecar(0, h);
+    const CodedVectorSet* b = want.KeySidecar(0, h);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(a->codec(), VectorCodec::kInt8);
+    ASSERT_EQ(a->size(), b->size());
+    EXPECT_EQ(std::memcmp(a->I8Row(0), b->I8Row(0), a->size() * a->dim()), 0);
+    EXPECT_EQ(a->params().scale, b->params().scale);
+    EXPECT_EQ(a->params().zero_point, b->params().zero_point);
+    EXPECT_EQ(a->max_residual(), b->max_residual());
+    EXPECT_EQ(a->max_abs(), b->max_abs());
+    std::vector<float> q(m.head_dim);
+    Rng rng(0x51DECA5 + h);
+    rng.FillGaussian(q.data(), q.size());
+    for (float beta : {0.5f, 4.f}) {
+      SearchResult x, y;
+      ASSERT_TRUE(FlatIndex(got.kv().Keys(0, h), a).SearchDipr(q.data(), {beta}, &x).ok());
+      ASSERT_TRUE(FlatIndex(want.kv().Keys(0, h), b).SearchDipr(q.data(), {beta}, &y).ok());
+      ASSERT_EQ(x.hits.size(), y.hits.size());
+      for (size_t i = 0; i < x.hits.size(); ++i) {
+        EXPECT_EQ(x.hits[i].id, y.hits[i].id);
+        EXPECT_EQ(x.hits[i].score, y.hits[i].score);
+      }
+      EXPECT_EQ(x.stats.dist_comps, y.stats.dist_comps);
+      EXPECT_EQ(x.stats.rescored, y.stats.rescored);
+      EXPECT_GT(x.stats.rescored, 0u);
+    }
+  }
+  EXPECT_EQ(got.KeySidecar(1, 0), nullptr);  // Only layer 0 scans flat.
+}
+
+TEST(TieredStoreTest, PageInCarriesTheSameKeySidecars) {
+  // A spill writes no sidecar bytes, so the disk figure is the deployed KV
+  // plus the other index bytes; the page-in re-encodes sidecars equal to the
+  // resident ones, and its IndexBytes() matches.
+  constexpr size_t kTokens = 200;
+  for (VectorCodec kv_codec : {VectorCodec::kFp32, VectorCodec::kInt8}) {
+    SCOPED_TRACE(VectorCodecName(kv_codec));
+    TierFixture fx;
+    fx.options.quant.kv_codec = kv_codec;
+    fx.options.tier.host_budget_bytes = 64ull << 20;  // Roomy: spill by hand.
+    AlayaDB db(fx.options, &fx.env);
+    auto imported = db.Import(fx.TokenRange(0, kTokens), fx.MakeKv(kTokens, 65));
+    ASSERT_TRUE(imported.ok());
+    const uint64_t id = imported.value();
+    const std::shared_ptr<Context> resident = db.contexts().FindShared(id);
+    ASSERT_NE(resident, nullptr);
+    ASSERT_GT(resident->KeySidecarBytes(), 0u);
+    ASSERT_TRUE(db.tiers()->SpillContext(id).ok());
+    EXPECT_EQ(fx.env.disk_usage().current(),
+              resident->kv().DeployedBytes() + resident->IndexBytes() -
+                  resident->KeySidecarBytes());
+    auto paged = db.tiers()->PageIn(id);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_NE(paged.value(), resident);
+    EXPECT_TRUE(paged.value()->fine_indices_restored());
+    ExpectSameKeySidecars(*paged.value(), *resident);
+    EXPECT_EQ(db.contexts().TotalIndexBytes(), resident->IndexBytes());
+  }
 }
 
 // --- Acceptance: a session pinning a context survives its eviction (the pin

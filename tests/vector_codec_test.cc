@@ -234,6 +234,10 @@ TEST(RerankTest, RerankRestoresExactOrdering) {
 }
 
 TEST(BatchedCodedTest, MatVecAndMultiQueryMatchScorer) {
+  // matvec_i8i16 is the one batched coded kernel: a multi-query call equals
+  // one call per query, and each sum is the exact Σ q̂·c, so the scorer's
+  // decode-free int8 dot of the dequantized query lands on scale·(S·step −
+  // zp·Σ q̂·step) up to float rounding.
   const size_t n = 33, d = 17, nq = 3;
   auto data = RandomVec(n * d, 31);
   CodecParams p;
@@ -241,19 +245,184 @@ TEST(BatchedCodedTest, MatVecAndMultiQueryMatchScorer) {
   CodedVectorSet coded;
   coded.EncodeWithParams({data.data(), n, d}, VectorCodec::kInt8, p);
   const auto qs = RandomVec(nq * d, 32);
-
-  std::vector<float> batched(nq * n);
-  MultiQueryDotCoded(coded, qs.data(), nq, batched.data());
+  std::vector<int16_t> qcodes(nq * d);
+  std::vector<float> steps(nq);
   for (size_t j = 0; j < nq; ++j) {
-    std::vector<float> single(n);
-    MatVecDotCoded(coded, qs.data() + j * d, single.data());
-    const QueryScorer scorer(ScoringView({data.data(), n, d}, &coded, 0),
-                             qs.data() + j * d);
+    steps[j] = QuantizeQueryInt16(qs.data() + j * d, d, qcodes.data() + j * d).step;
+  }
+
+  const KernelOps& ops = Kernels();
+  std::vector<int32_t> batched(nq * n);
+  ops.matvec_i8i16(coded.I8Row(0), n, d, qcodes.data(), nq, batched.data());
+  for (size_t j = 0; j < nq; ++j) {
+    std::vector<int32_t> single(n);
+    ops.matvec_i8i16(coded.I8Row(0), n, d, qcodes.data() + j * d, 1, single.data());
+    std::vector<float> qhat(d);
+    int64_t qhat_sum = 0;
+    for (size_t k = 0; k < d; ++k) {
+      qhat[k] = steps[j] * static_cast<float>(qcodes[j * d + k]);
+      qhat_sum += qcodes[j * d + k];
+    }
+    const QueryScorer scorer(ScoringView({data.data(), n, d}, &coded, 0), qhat.data());
     for (uint32_t i = 0; i < n; ++i) {
       EXPECT_EQ(batched[j * n + i], single[i]);
-      EXPECT_EQ(single[i], scorer.Score(i));
+      int64_t exact = 0;
+      for (size_t k = 0; k < d; ++k) {
+        exact += int64_t{qcodes[j * d + k]} * int64_t{coded.I8Row(i)[k]};
+      }
+      EXPECT_EQ(single[i], exact);
+      const double want = static_cast<double>(p.scale) * steps[j] *
+                          (static_cast<double>(exact) - p.zero_point * qhat_sum);
+      EXPECT_NEAR(scorer.Score(i), want, 1e-4 * (1 + std::fabs(want)));
     }
   }
+}
+
+/// Random int8 rows and int16 queries at the full range Int16QueryRange(d)
+/// allows, plus rows of extreme codes against extreme queries.
+void ExpectMatVecI8I16Exact(size_t d, size_t rows, size_t nq, uint32_t seed) {
+  std::mt19937 rng(seed);
+  const int32_t range = Int16QueryRange(d);
+  std::uniform_int_distribution<int> code(-128, 127);
+  std::uniform_int_distribution<int32_t> qd(-range, range);
+  std::vector<int8_t> codes(rows * d);
+  for (auto& c : codes) c = static_cast<int8_t>(code(rng));
+  std::vector<int16_t> qs(nq * d);
+  for (auto& q : qs) q = static_cast<int16_t>(qd(rng));
+  // Extremes: row 0 all −128 and row 1 all 127 against query 0 at ±range, so
+  // the sums reach the int32 bound the range rule reserves.
+  if (rows >= 2 && nq >= 1) {
+    for (size_t k = 0; k < d; ++k) {
+      codes[k] = -128;
+      codes[d + k] = 127;
+      qs[k] = static_cast<int16_t>(k % 2 == 0 || nq == 1 ? -range : range);
+    }
+  }
+  std::vector<int32_t> scalar(rows * nq), wide(rows * nq);
+  ScalarKernels().matvec_i8i16(codes.data(), rows, d, qs.data(), nq, scalar.data());
+  Kernels().matvec_i8i16(codes.data(), rows, d, qs.data(), nq, wide.data());
+  for (size_t j = 0; j < nq; ++j) {
+    for (size_t i = 0; i < rows; ++i) {
+      int64_t exact = 0;
+      for (size_t k = 0; k < d; ++k) {
+        exact += int64_t{qs[j * d + k]} * int64_t{codes[i * d + k]};
+      }
+      ASSERT_EQ(scalar[j * rows + i], exact) << "d=" << d << " q" << j << " row " << i;
+      ASSERT_EQ(wide[j * rows + i], exact) << "d=" << d << " q" << j << " row " << i;
+    }
+  }
+}
+
+TEST(MatVecI8I16Test, ScalarAndDispatchedReturnTheExactSums) {
+  for (size_t d : kDims) {
+    for (size_t nq : {1, 2, 3, 4, 5, 9}) {
+      ExpectMatVecI8I16Exact(d, 11, nq, static_cast<uint32_t>(d * 16 + nq));
+    }
+  }
+  ExpectMatVecI8I16Exact(256, 7, 2, 41);
+  ExpectMatVecI8I16Exact(512, 5, 1, 42);
+  ExpectMatVecI8I16Exact(1000, 3, 2, 43);
+}
+
+TEST(MatVecI8I16Test, ExtremeCodesAtFullRange) {
+  // −128 and 127 against |q̂| = 32767 at every position: the largest sums
+  // the full int16 range produces.
+  for (size_t d : {1, 16, 64, 255, 256, 512}) {
+    ASSERT_EQ(Int16QueryRange(d), 32767);
+    std::vector<int8_t> codes(2 * d);
+    std::vector<int16_t> qs(2 * d);
+    for (size_t k = 0; k < d; ++k) {
+      codes[k] = -128;
+      codes[d + k] = 127;
+      qs[k] = -32767;
+      qs[d + k] = 32767;
+    }
+    for (const KernelOps* ops : {&ScalarKernels(), &Kernels()}) {
+      std::vector<int32_t> out(4);
+      ops->matvec_i8i16(codes.data(), 2, d, qs.data(), 2, out.data());
+      const int64_t dd = static_cast<int64_t>(d);
+      EXPECT_EQ(out[0], dd * 32767 * 128) << ops->level << " d=" << d;
+      EXPECT_EQ(out[1], -dd * 32767 * 127) << ops->level << " d=" << d;
+      EXPECT_EQ(out[2], -dd * 32767 * 128) << ops->level << " d=" << d;
+      EXPECT_EQ(out[3], dd * 32767 * 127) << ops->level << " d=" << d;
+    }
+  }
+}
+
+TEST(MatVecI8I16Test, QueryRangeKeepsEverySumInsideInt32) {
+  // Full range up to d = 512 (512 · 32767 · 128 < 2^31); beyond it the
+  // range shrinks so d · range · 128 still fits, and is the largest that does.
+  constexpr int64_t kInt32Max = 2147483647;
+  EXPECT_EQ(Int16QueryRange(0), 32767);
+  EXPECT_EQ(Int16QueryRange(256), 32767);
+  EXPECT_EQ(Int16QueryRange(512), 32767);
+  EXPECT_LT(Int16QueryRange(513), 32767);
+  for (size_t d : {1, 64, 256, 512, 513, 1000, 4096, 100000}) {
+    const int64_t r = Int16QueryRange(d);
+    EXPECT_GE(r, 1);
+    EXPECT_LE(static_cast<int64_t>(d) * r * 128, kInt32Max) << d;
+    if (r < 32767) {
+      EXPECT_GT(static_cast<int64_t>(d) * (r + 1) * 128, kInt32Max) << d;
+    }
+  }
+}
+
+TEST(MatVecI8I16Test, QueryQuantizationReportsItsResidual) {
+  for (size_t d : {1, 7, 64, 600}) {
+    const auto q = RandomVec(d, static_cast<uint32_t>(d), 3.f);
+    std::vector<int16_t> codes(d);
+    const Int16Query qq = QuantizeQueryInt16(q.data(), d, codes.data());
+    const int32_t range = Int16QueryRange(d);
+    double l1 = 0, err = 0;
+    int32_t top = 0;
+    for (size_t k = 0; k < d; ++k) {
+      EXPECT_LE(std::abs(int32_t{codes[k]}), range);
+      top = std::max(top, std::abs(int32_t{codes[k]}));
+      const double e = static_cast<double>(q[k]) -
+                       static_cast<double>(qq.step) * static_cast<double>(codes[k]);
+      EXPECT_LE(std::fabs(e), 0.5 * qq.step * (1 + 1e-5)) << k;
+      l1 += std::fabs(q[k]);
+      err += std::fabs(e);
+    }
+    EXPECT_EQ(top, range);  // The largest |q| lands on the range.
+    EXPECT_NEAR(qq.l1, l1, 1e-9 * l1);
+    EXPECT_NEAR(qq.err_l1, err, 1e-9 * (err + 1e-30));
+  }
+  // A zero query has no usable step: all-zero codes, step 0.
+  std::vector<float> zero(8, 0.f);
+  std::vector<int16_t> codes(8, 5);
+  const Int16Query qq = QuantizeQueryInt16(zero.data(), 8, codes.data());
+  EXPECT_EQ(qq.step, 0.f);
+  for (int16_t c : codes) EXPECT_EQ(c, 0);
+}
+
+TEST(Int8CodecTest, ResidualBoundCoversEveryElement) {
+  const size_t n = 50, d = 24;
+  const auto data = RandomVec(n * d, 77, 2.f);
+  CodedVectorSet coded;
+  coded.Encode({data.data(), n, d}, VectorCodec::kInt8);
+  const CodecParams& p = coded.params();
+  double worst = 0, xmax = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < d; ++k) {
+      const double x = data[i * d + k];
+      const double dec = static_cast<double>(p.scale) *
+                         (static_cast<double>(coded.I8Row(i)[k]) - p.zero_point);
+      worst = std::max(worst, std::fabs(x - dec));
+      xmax = std::max(xmax, std::fabs(x));
+    }
+  }
+  EXPECT_GE(coded.max_residual(), worst);
+  EXPECT_LE(coded.max_residual(), 0.5 * p.scale * (1 + 1e-4));  // Rounds to nearest.
+  EXPECT_EQ(coded.max_abs(), xmax);
+
+  // On-grid data re-encoded with its own params leaves (almost) nothing.
+  std::vector<float> grid = data;
+  CodecParams gp;
+  QuantizeRows(grid.data(), n, d, VectorCodec::kInt8, &gp);
+  CodedVectorSet on_grid;
+  on_grid.EncodeWithParams({grid.data(), n, d}, VectorCodec::kInt8, gp);
+  EXPECT_LT(on_grid.max_residual(), 1e-5 * gp.scale);
 }
 
 TEST(CodecNamesTest, NamesAndWidths) {
