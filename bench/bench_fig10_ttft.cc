@@ -10,18 +10,14 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/baselines/lmcache.h"
-#include "src/core/alaya_db.h"
+#include "bench/harness/lmcache.h"
 
 namespace alaya {
 namespace {
 
-struct AlayaPoint {
-  double ttft_seconds;
-  double decode_seconds;
-};
-
-AlayaPoint MeasureAlayaDecode(size_t paper_tokens) {
+/// TTFT for AlayaDB == the first decode step on the offloaded cache (no KV
+/// load), i.e. the scaled TPOT of the DIPRS session row.
+double MeasureAlayaTtft(size_t paper_tokens) {
   // Scaled measured decode: context at 1/16 of the paper length.
   ModelConfig model = bench::BenchModel();
   WorkloadSpec spec = FindTask(InfinityBenchSuite(1.0), "En.QA");
@@ -30,15 +26,10 @@ AlayaPoint MeasureAlayaDecode(size_t paper_tokens) {
   SyntheticContext ctx = bench::MakeContext(spec, model);
   SimEnvironment env;
 
-  const float beta = static_cast<float>(SuggestedDiprBeta(spec, model.head_dim));
-  MethodRunner runner(model, MethodSpec::Diprs(beta));
-  if (!runner.Prepare(ctx, &env).ok()) std::abort();
-  EvalOptions opts = bench::ScaledEval(model, 2, 1.0 / 16.0);
-  auto eval = EvaluateMethod(ctx, &runner, opts);
-  if (!eval.ok()) std::abort();
-  // TTFT for AlayaDB == the first decode step on the offloaded cache (no KV
-  // load), i.e. the scaled TPOT.
-  return {eval.value().tpot_seconds, eval.value().tpot_seconds};
+  return bench::EvalDiprs(ctx, bench::Import(ctx, &env).get(), WindowConfig{128, 512},
+                          bench::DiprBeta(ctx), bench::ScaledEval(model, 2, 1.0 / 16.0),
+                          &env)
+      .tpot_seconds;
 }
 
 void Run() {
@@ -70,17 +61,14 @@ void Run() {
     }
     auto load = lmcache.Load(id);
     if (!load.ok()) std::abort();
-    const double lm_decode = cost.HfDecodeAttentionSeconds(
-        static_cast<uint64_t>(tokens) * paper.KvBytesPerToken());
+    const double lm_decode = lmcache.DecodeStepSeconds(id);
     const double lm_total = load.value().total_seconds + lm_decode;
 
-    const AlayaPoint alaya = MeasureAlayaDecode(tokens);
+    const double alaya = MeasureAlayaTtft(tokens);
 
-    std::printf("%-10zu %16.2f %16.2f %16.3f\n", tokens, prefill, lm_total,
-                alaya.ttft_seconds);
+    std::printf("%-10zu %16.2f %16.2f %16.3f\n", tokens, prefill, lm_total, alaya);
     if (tokens == 40000u || tokens == 200000u) {
-      endpoints.push_back({tokens, load.value().total_seconds, lm_decode,
-                           alaya.ttft_seconds});
+      endpoints.push_back({tokens, load.value().total_seconds, lm_decode, alaya});
     }
   }
 

@@ -9,22 +9,6 @@
 namespace alaya {
 namespace {
 
-struct Point {
-  double tokens;
-  double score;
-};
-
-Point EvalSpec(const SyntheticContext& ctx, const MethodSpec& spec,
-               double full_fidelity, double paper_score, SimEnvironment* env) {
-  MethodRunner runner(ctx.model(), spec);
-  if (!runner.Prepare(ctx, env).ok()) std::abort();
-  EvalOptions opts = bench::ScaledEval(ctx.model(), 4);
-  auto eval = EvaluateMethod(ctx, &runner, opts);
-  if (!eval.ok()) std::abort();
-  return {eval.value().mean_retrieved,
-          AnchoredScore(eval.value().fidelity, full_fidelity, paper_score)};
-}
-
 void RunTask(const char* name) {
   WorkloadSpec spec = FindTask(LongBenchSuite(1.0), name);
   spec.decode_steps = 4;
@@ -32,29 +16,29 @@ void RunTask(const char* name) {
                                             /*num_topics=*/4);
   SimEnvironment env;
 
-  MethodRunner full(ctx.model(), MethodSpec::Full());
-  if (!full.Prepare(ctx, &env).ok()) std::abort();
-  auto full_eval = EvaluateMethod(ctx, &full, bench::ScaledEval(ctx.model(), 4));
-  const double full_fid = full_eval.value().fidelity;
+  const EvalOptions opts = bench::ScaledEval(ctx.model(), 4);
+  const double full_fid = bench::EvalRunner(ctx, MethodSpec::Full(), opts, &env).fidelity;
+  auto print_point = [&](const char* method, const MethodEval& e) {
+    std::printf("%-10s %14.1f %10.2f\n", method, e.mean_retrieved,
+                AnchoredScore(e.fidelity, full_fid, spec.paper_full_score));
+  };
 
   std::printf("\n[%s] context=%zu, paper full-attention score=%.1f\n", name,
               ctx.num_tokens(), spec.paper_full_score);
   std::printf("%-10s %14s %10s\n", "method", "mean_tokens", "score");
 
-  const double base_beta = SuggestedDiprBeta(spec, ctx.model().head_dim);
   const WindowConfig small_window{8, 64};
+  // One import serves every point; each beta point is its own Session.
+  const std::shared_ptr<Context> imported = bench::Import(ctx, &env);
   for (double f : {0.55, 0.7, 0.85, 1.0, 1.15}) {
-    MethodSpec m = MethodSpec::Diprs(static_cast<float>(base_beta * f));
-    m.label = "DIPR";
-    m.window = small_window;
-    Point p = EvalSpec(ctx, m, full_fid, spec.paper_full_score, &env);
-    std::printf("%-10s %14.1f %10.2f\n", "DIPR", p.tokens, p.score);
+    const float beta = static_cast<float>(bench::DiprBeta(ctx) * f);
+    print_point("DIPR",
+                bench::EvalDiprs(ctx, imported.get(), small_window, beta, opts, &env));
   }
   for (size_t k : {25u, 50u, 100u, 200u, 400u}) {
     MethodSpec m = MethodSpec::TopK(k);
     m.window = small_window;
-    Point p = EvalSpec(ctx, m, full_fid, spec.paper_full_score, &env);
-    std::printf("%-10s %14.1f %10.2f\n", "Top-k", p.tokens, p.score);
+    print_point("Top-k", bench::EvalRunner(ctx, m, opts, &env, imported.get()));
   }
 }
 

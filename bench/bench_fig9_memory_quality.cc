@@ -24,41 +24,35 @@ void RunTask(const char* name) {
       static_cast<double>(ModelConfig::Llama3_8B().KvBytesPerToken()) /
       static_cast<double>(ctx.model().KvBytesPerToken()) / bench::kContextScale;
 
-  MethodRunner full(ctx.model(), MethodSpec::Full());
-  if (!full.Prepare(ctx, &env).ok()) std::abort();
-  auto full_eval = EvaluateMethod(ctx, &full, bench::ScaledEval(ctx.model(), 5));
-  const double full_fid = full_eval.value().fidelity;
+  const EvalOptions opts = bench::ScaledEval(ctx.model(), 5);
+  const double full_fid = bench::EvalRunner(ctx, MethodSpec::Full(), opts, &env).fidelity;
 
   std::printf("\n[%s] context=%zu (x%zu at paper scale)\n", name, ctx.num_tokens(),
               static_cast<size_t>(1.0 / bench::kContextScale));
   std::printf("%-14s %14s %12s %10s\n", "method", "gpu_mem(GB)", "score", "slo");
 
-  auto report = [&](const MethodSpec& m) {
-    MethodRunner runner(ctx.model(), m);
-    if (!runner.Prepare(ctx, &env).ok()) std::abort();
-    auto eval = EvaluateMethod(ctx, &runner, bench::ScaledEval(ctx.model(), 5));
-    if (!eval.ok()) std::abort();
-    const double gb =
-        kWeightsGb + static_cast<double>(runner.GpuBytes()) * geom_scale / 1e9;
-    const double score =
-        AnchoredScore(eval.value().fidelity, full_fid, spec.paper_full_score);
-    std::printf("%-14s %14.2f %12.1f %10s\n", m.label.c_str(), gb, score,
-                eval.value().slo_met ? "met" : "violated");
+  auto report = [&](const MethodEval& e) {
+    const double gb = kWeightsGb + static_cast<double>(e.gpu_bytes) * geom_scale / 1e9;
+    const double score = AnchoredScore(e.fidelity, full_fid, spec.paper_full_score);
+    std::printf("%-14s %14.2f %12.1f %10s\n", e.label.c_str(), gb, score,
+                e.slo_met ? "met" : "violated");
   };
 
   for (size_t cache : {1024u, 2048u, 4096u, 8192u}) {
     MethodSpec m = MethodSpec::InfLlm(cache, /*recent=*/512);
     m.label = StrFormat("InfLLM/%zuK", cache / 1024);
-    report(m);
+    report(bench::EvalRunner(ctx, m, opts, &env));
   }
   for (size_t window : {1024u, 2048u, 4096u, 8192u}) {
     MethodSpec m = MethodSpec::Streaming(window);
     m.label = StrFormat("Stream/%zuK", window / 1024);
-    report(m);
+    report(bench::EvalRunner(ctx, m, opts, &env));
   }
-  report(MethodSpec::TopK(100));
-  report(MethodSpec::Diprs(static_cast<float>(
-      SuggestedDiprBeta(spec, ctx.model().head_dim))));
+  const MethodSpec topk = MethodSpec::TopK(100);
+  const std::shared_ptr<Context> imported = bench::Import(ctx, &env);
+  report(bench::EvalRunner(ctx, topk, opts, &env, imported.get()));
+  report(bench::EvalDiprs(ctx, imported.get(), topk.window, bench::DiprBeta(ctx), opts,
+                          &env));
 }
 
 }  // namespace

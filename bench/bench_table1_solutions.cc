@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "bench/harness/lmcache.h"
 #include "src/llm/quality.h"
-#include "src/baselines/lmcache.h"
 
 namespace alaya {
 namespace {
@@ -23,28 +23,16 @@ void Run() {
       static_cast<double>(ModelConfig::Llama3_8B().KvBytesPerToken()) /
       static_cast<double>(ctx.model().KvBytesPerToken()) / bench::kContextScale;
 
-  struct Row {
-    std::string name;
-    MethodSpec spec;
+  const EvalOptions opts = bench::ScaledEval(ctx.model(), 5);
+  const MethodSpec topk = MethodSpec::TopK(100);
+  const std::shared_ptr<Context> imported = bench::Import(ctx, &env);
+  std::vector<MethodEval> evals = {
+      bench::EvalRunner(ctx, MethodSpec::Full(), opts, &env),
+      bench::EvalRunner(ctx, topk, opts, &env, imported.get()),
+      // AlayaDB under the top-k row's window.
+      bench::EvalDiprs(ctx, imported.get(), topk.window, bench::DiprBeta(ctx), opts,
+                       &env),
   };
-  std::vector<Row> rows = {
-      {"(1) coupled/full", MethodSpec::Full()},
-      {"(3) sparse/top-k", MethodSpec::TopK(100)},
-      {"(4) AlayaDB/DIPRS",
-       MethodSpec::Diprs(static_cast<float>(
-           SuggestedDiprBeta(spec, ctx.model().head_dim)))},
-  };
-
-  std::vector<MethodEval> evals;
-  std::vector<uint64_t> gpu_bytes;
-  for (auto& row : rows) {
-    MethodRunner runner(ctx.model(), row.spec);
-    if (!runner.Prepare(ctx, &env).ok()) std::abort();
-    auto eval = EvaluateMethod(ctx, &runner, bench::ScaledEval(ctx.model(), 5));
-    if (!eval.ok()) std::abort();
-    evals.push_back(eval.TakeValue());
-    gpu_bytes.push_back(runner.GpuBytes());
-  }
   AnchorScores(&evals, spec.paper_full_score);
 
   // (2) KV-cache disaggregation: quality equals full attention (same math),
@@ -61,20 +49,16 @@ void Run() {
 
   std::printf("%-20s %14s %14s %10s %14s\n", "solution", "GPU KV mem", "TPOT",
               "quality", "reuse TTFT");
-  auto print_row = [&](const std::string& name, uint64_t bytes, double tpot,
-                       double score, double ttft) {
-    std::printf("%-20s %14s %14s %10.1f %14s\n", name.c_str(),
-                HumanBytes(static_cast<uint64_t>(bytes * geom_scale)).c_str(),
-                HumanSeconds(tpot).c_str(), score, HumanSeconds(ttft).c_str());
+  auto print_row = [&](const char* name, const MethodEval& e, double load_seconds) {
+    std::printf("%-20s %14s %14s %10.1f %14s\n", name,
+                HumanBytes(static_cast<uint64_t>(e.gpu_bytes * geom_scale)).c_str(),
+                HumanSeconds(e.tpot_seconds).c_str(), e.score,
+                HumanSeconds(load_seconds + e.tpot_seconds).c_str());
   };
-  print_row(rows[0].name, gpu_bytes[0], evals[0].tpot_seconds, evals[0].score,
-            evals[0].tpot_seconds);
-  print_row("(2) disagg/LMCache", gpu_bytes[0], evals[0].tpot_seconds, evals[0].score,
-            load.value().total_seconds + evals[0].tpot_seconds);
-  print_row(rows[1].name, gpu_bytes[1], evals[1].tpot_seconds, evals[1].score,
-            evals[1].tpot_seconds);
-  print_row(rows[2].name, gpu_bytes[2], evals[2].tpot_seconds, evals[2].score,
-            evals[2].tpot_seconds);
+  print_row("(1) coupled/full", evals[0], 0);
+  print_row("(2) disagg/LMCache", evals[0], load.value().total_seconds);
+  print_row("(3) sparse/top-k", evals[1], 0);
+  print_row("(4) AlayaDB/DIPRS", evals[2], 0);
 
   bench::Rule(78);
   std::printf(

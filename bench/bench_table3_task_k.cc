@@ -12,7 +12,7 @@ namespace {
 double FidelityAtK(const SyntheticContext& ctx, MethodRunner* topk_runner, size_t k) {
   topk_runner->set_k(k);
   EvalOptions opts = bench::ScaledEval(ctx.model(), 4);
-  auto eval = EvaluateMethod(ctx, topk_runner, opts);
+  auto eval = EvaluateMethod(ctx, RunnerSource(topk_runner), opts);
   if (!eval.ok()) std::abort();
   return eval.value().fidelity;
 }
@@ -42,18 +42,16 @@ void Run() {
     SyntheticContext ctx = bench::MakeContext(spec, bench::BenchModel(),
                                               /*num_topics=*/4);
 
-    MethodRunner full(ctx.model(), MethodSpec::Full());
-    if (!full.Prepare(ctx, &env).ok()) std::abort();
-    EvalOptions opts = bench::ScaledEval(ctx.model(), 4);
-    auto full_eval = EvaluateMethod(ctx, &full, opts);
     // Tolerance accounts for the graph-recall asymptote (top-k recall
     // saturates slightly below exact full attention).
-    const double target = full_eval.value().fidelity - 0.02;
+    const EvalOptions opts = bench::ScaledEval(ctx.model(), 4);
+    const double target = bench::EvalRunner(ctx, MethodSpec::Full(), opts, &env).fidelity - 0.02;
 
     MethodSpec topk_spec = MethodSpec::TopK(4);
     topk_spec.window = WindowConfig{8, 64};  // Keep the window out of the way.
     MethodRunner topk(ctx.model(), topk_spec);
-    if (!topk.Prepare(ctx, &env).ok()) std::abort();
+    const std::shared_ptr<Context> imported = bench::Import(ctx, &env);
+    if (!topk.Prepare(ctx, &env, imported.get()).ok()) std::abort();
 
     // Geometric sweep, then binary refinement (index built once per task).
     size_t lo = 4, hi = ctx.num_tokens() / 2, found = hi;

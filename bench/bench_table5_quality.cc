@@ -1,7 +1,11 @@
 // Table 5: generation quality of sparse-attention methods on the 8 ∞-Bench
 // tasks, with the TPOT <= 0.24 s SLO check. Scores are anchored so Full
 // Attention reproduces the paper's row; other methods scale by measured
-// attention fidelity (DESIGN.md §2.2).
+// attention fidelity (DESIGN.md §2.2). The DIPRS row is AlayaDB's Session over
+// the imported context; the other rows are MethodRunner baselines. The last
+// line is one JSON object in servebench's schema: `correct` (the quant gate),
+// `metrics` (each row's average and worst TPOT) and `claims` (the expected
+// shape, checked).
 #include <cstdio>
 #include <map>
 #include <set>
@@ -64,14 +68,14 @@ bool RunQuantRecallGate() {
   return pass;
 }
 
-void Run() {
+void Run(bool quant_ok) {
   bench::Header("Table 5", "quality on ∞-Bench tasks (anchored) + SLO check");
   auto suite = InfinityBenchSuite(bench::kContextScale);
   SimEnvironment env;
 
   std::vector<std::string> method_names;
   std::map<std::string, std::vector<double>> scores;
-  std::map<std::string, bool> slo_ok;
+  std::map<std::string, bool> slo_violated;
   std::map<std::string, double> worst_tpot;
 
   std::printf("%-16s", "method");
@@ -82,31 +86,24 @@ void Run() {
     WorkloadSpec spec = task;
     spec.decode_steps = 5;
     SyntheticContext ctx = bench::MakeContext(spec);
-    auto methods = bench::Table5Methods(spec, ctx.model().head_dim);
+    const EvalOptions opts = bench::ScaledEval(ctx.model(), spec.decode_steps);
+    const std::shared_ptr<Context> imported = bench::Import(ctx, &env);
     std::vector<MethodEval> evals;
-    for (const auto& m : methods) {
-      MethodRunner runner(ctx.model(), m);
-      if (!runner.Prepare(ctx, &env).ok()) std::abort();
-      EvalOptions opts = bench::ScaledEval(ctx.model(), spec.decode_steps);
-      auto eval = EvaluateMethod(ctx, &runner, opts);
-      if (!eval.ok()) std::abort();
-      evals.push_back(eval.TakeValue());
+    for (const auto& m : bench::Table5Baselines()) {
+      evals.push_back(bench::EvalRunner(ctx, m, opts, &env, imported.get()));
     }
+    evals.push_back(bench::EvalDiprs(ctx, imported.get(), bench::FineWindow(),
+                                     bench::DiprBeta(ctx), opts, &env));
     AnchorScores(&evals, spec.paper_full_score);
     for (const auto& e : evals) {
       if (scores.find(e.label) == scores.end()) method_names.push_back(e.label);
       scores[e.label].push_back(e.score);
-      auto it = slo_ok.find(e.label);
-      if (it == slo_ok.end()) {
-        slo_ok[e.label] = e.slo_met;
-        worst_tpot[e.label] = e.tpot_seconds;
-      } else {
-        it->second = it->second && e.slo_met;
-        worst_tpot[e.label] = std::max(worst_tpot[e.label], e.tpot_seconds);
-      }
+      slo_violated[e.label] |= !e.slo_met;
+      worst_tpot[e.label] = std::max(worst_tpot[e.label], e.tpot_seconds);
     }
   }
 
+  std::map<std::string, double> avg;
   for (const auto& name : method_names) {
     std::printf("%-16s", name.c_str());
     double sum = 0;
@@ -114,13 +111,14 @@ void Run() {
       std::printf("%9.1f", s);
       sum += s;
     }
-    std::printf("%9.1f\n", sum / scores[name].size());
+    avg[name] = sum / scores[name].size();
+    std::printf("%9.1f\n", avg[name]);
   }
   bench::Rule(78);
   std::printf("SLO (TPOT <= 0.24 s at Llama-3-8B-equivalent scale):\n");
   for (const auto& name : method_names) {
     std::printf("  %-16s %s (worst TPOT %s)\n", name.c_str(),
-                slo_ok[name] ? "MET    " : "VIOLATED",
+                slo_violated[name] ? "VIOLATED" : "MET    ",
                 HumanSeconds(worst_tpot[name]).c_str());
   }
   std::printf(
@@ -128,6 +126,49 @@ void Run() {
       "Top2000 comparable quality but SLO-violating; Top100 slightly behind\n"
       "DIPRS; StreamingLLM collapses on retrieval tasks; Full Attention\n"
       "violates the SLO on long contexts.\n");
+
+  // The expected shape as named checks, none with a tuned threshold. TPOT
+  // scales measured host seconds (ScaledEval), so the SLO claims move with
+  // the host's speed: on a fast host Top2000's 2000-token CPU attention stays
+  // under 0.24 s and top2000_violates_slo fails. That is a host-speed
+  // artefact, not a reproduction bug.
+  bool diprs_best = true;
+  for (const auto& name : method_names) {
+    if (name != "DIPRS" && name != "Full Attention") diprs_best &= avg["DIPRS"] >= avg[name];
+  }
+  bool streaming_collapses = true;
+  for (size_t t = 0; t < suite.size(); ++t) {
+    if (suite[t].name.rfind("Retr.", 0) != 0) continue;
+    for (const auto& name : method_names) {
+      if (name != "StreamingLLM") {
+        streaming_collapses &= scores["StreamingLLM"][t] < scores[name][t];
+      }
+    }
+  }
+  const std::pair<const char*, bool> claims[] = {
+      {"diprs_best_sparse_avg", diprs_best},
+      {"diprs_meets_slo", !slo_violated["DIPRS"]},
+      {"top2000_violates_slo", slo_violated["Top2000"]},
+      {"top100_trails_diprs", avg["Top100"] < avg["DIPRS"]},
+      {"streamingllm_collapses_on_retr", streaming_collapses},
+      {"full_attention_violates_slo", slo_violated["Full Attention"]},
+  };
+  std::printf("{\"correct\": %s, \"metrics\": {", quant_ok ? "true" : "false");
+  const char* sep = "";
+  for (const auto& name : method_names) {
+    std::printf("%s\"%s.avg_score\": {\"value\": %.17g, \"unit\": \"score\"}, "
+                "\"%s.worst_tpot_s\": {\"value\": %.17g, \"unit\": \"s\"}",
+                sep, name.c_str(), avg[name], name.c_str(), worst_tpot[name]);
+    sep = ", ";
+  }
+  std::printf("}, \"claims\": [");
+  sep = "";
+  for (const auto& [name, holds] : claims) {
+    std::printf("%s{\"name\": \"%s\", \"holds\": %s}", sep, name,
+                holds ? "true" : "false");
+    sep = ", ";
+  }
+  std::printf("]}\n");
 }
 
 }  // namespace
@@ -135,6 +176,6 @@ void Run() {
 
 int main() {
   const bool quant_ok = alaya::RunQuantRecallGate();
-  alaya::Run();
+  alaya::Run(quant_ok);
   return quant_ok ? 0 : 1;
 }

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness/inference_sim.h"
 #include "src/common/string_util.h"
-#include "src/llm/inference_sim.h"
 #include "src/llm/qkv_generator.h"
 #include "src/llm/workloads.h"
 
@@ -62,39 +62,66 @@ inline EvalOptions ScaledEval(const ModelConfig& model, size_t steps,
   return opts;
 }
 
-/// The Table 5 method roster for a task.
-inline std::vector<MethodSpec> Table5Methods(const WorkloadSpec& spec,
-                                             uint32_t head_dim) {
+/// Scales a paper window/cache budget (a fraction of the context) by
+/// kContextScale.
+inline uint32_t ScaledTokens(size_t tokens) {
+  return static_cast<uint32_t>(std::max<size_t>(8, tokens * kContextScale));
+}
+
+/// Table 5's [128+512] window of the fine-grained rows (Top-k and DIPRS).
+inline WindowConfig FineWindow() { return {ScaledTokens(128), ScaledTokens(512)}; }
+
+/// The Table 5 baseline roster (MethodRunner rows; the DIPRS row is a
+/// Session, EvalDiprs).
+inline std::vector<MethodSpec> Table5Baselines() {
   // Paper settings, with window/cache budgets (fractions of the context)
   // scaled by kContextScale: InfLLM [128+4K]+4K, StreamingLLM [128]+8K,
   // Top-k and DIPRS [128+512]+retrieved. Retrieval budgets k and beta stay
   // absolute: the planted critical-set sizes are paper-absolute too.
-  const float beta = static_cast<float>(SuggestedDiprBeta(spec, head_dim));
-  const auto scaled = [](size_t tokens) {
-    return static_cast<uint32_t>(std::max<size_t>(8, tokens * kContextScale));
-  };
-  const WindowConfig fine_window{scaled(128), scaled(512)};
-  std::vector<MethodSpec> methods;
-  methods.push_back(MethodSpec::Full());
   // InfLLM's 4K *retrieval* budget is absolute (like k); its local window is
   // a context fraction and scales.
-  MethodSpec infllm = MethodSpec::InfLlm(4096, scaled(4096));
-  infllm.window.initial_tokens = scaled(128);
+  MethodSpec infllm = MethodSpec::InfLlm(4096, ScaledTokens(4096));
   infllm.infllm_block = 32;
-  methods.push_back(infllm);
-  MethodSpec streaming = MethodSpec::Streaming(scaled(8192));
-  streaming.window.initial_tokens = scaled(128);
-  methods.push_back(streaming);
-  MethodSpec top100 = MethodSpec::TopK(100);
-  top100.window = fine_window;
-  methods.push_back(top100);
-  MethodSpec top2000 = MethodSpec::TopK(2000);
-  top2000.window = fine_window;
-  methods.push_back(top2000);
-  MethodSpec diprs = MethodSpec::Diprs(beta);
-  diprs.window = fine_window;
-  methods.push_back(diprs);
-  return methods;
+  MethodSpec streaming = MethodSpec::Streaming(ScaledTokens(8192));
+  infllm.window.initial_tokens = streaming.window.initial_tokens = ScaledTokens(128);
+  MethodSpec top100 = MethodSpec::TopK(100), top2000 = MethodSpec::TopK(2000);
+  top100.window = top2000.window = FineWindow();
+  return {MethodSpec::Full(), infllm, streaming, top100, top2000};
+}
+
+/// Evaluates a MethodRunner baseline over `ctx` (Top-k needs `imported`).
+inline MethodEval EvalRunner(const SyntheticContext& ctx, const MethodSpec& spec,
+                             const EvalOptions& opts, SimEnvironment* env,
+                             const Context* imported = nullptr) {
+  MethodRunner runner(ctx.model(), spec);
+  if (!runner.Prepare(ctx, env, imported).ok()) std::abort();
+  auto eval = EvaluateMethod(ctx, RunnerSource(&runner), opts);
+  if (!eval.ok()) std::abort();
+  return eval.TakeValue();
+}
+
+/// ImportContext for the DIPRS and Top-k rows.
+inline std::shared_ptr<Context> Import(const SyntheticContext& ctx, SimEnvironment* env) {
+  auto imported = ImportContext(ctx, env);
+  if (!imported.ok()) std::abort();
+  return imported.TakeValue();
+}
+
+/// Evaluates AlayaDB's DIPRS row: a Session over all of `imported` (Import
+/// of `ctx`), planned by the optimizer under DiprsSessionOptions.
+inline MethodEval EvalDiprs(const SyntheticContext& ctx, Context* imported,
+                            const WindowConfig& window, float beta,
+                            const EvalOptions& opts, SimEnvironment* env) {
+  Session session(ctx.model(), DiprsSessionOptions(window, beta), imported,
+                  imported->length(), env);
+  auto eval = EvaluateMethod(ctx, SessionSource(&session, "DIPRS"), opts);
+  if (!eval.ok()) std::abort();
+  return eval.TakeValue();
+}
+
+/// The DIPR beta a task's planted critical band calls for (SuggestedDiprBeta).
+inline float DiprBeta(const SyntheticContext& ctx) {
+  return static_cast<float>(SuggestedDiprBeta(ctx.spec(), ctx.model().head_dim));
 }
 
 /// Prints a horizontal rule sized to `width`.

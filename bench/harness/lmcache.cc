@@ -1,4 +1,4 @@
-#include "src/baselines/lmcache.h"
+#include "bench/harness/lmcache.h"
 
 namespace alaya {
 
@@ -15,12 +15,6 @@ bool LmCacheStore::RemoveContext(uint64_t id) {
   env_->host_memory().Free(it->second.compressed_bytes);
   entries_.erase(it);
   return true;
-}
-
-Status LmCacheStore::StoreContext(uint64_t id, const KvCache& kv) {
-  return StoreContextBytes(id, kv.NumTokens(),
-                           kv.NumTokens() > 0 ? kv.DeployedBytes() / kv.NumTokens()
-                                              : 0);
 }
 
 Status LmCacheStore::StoreContextBytes(uint64_t id, size_t tokens,

@@ -8,9 +8,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
-#include "src/core/kv_cache.h"
+#include "src/common/status.h"
 #include "src/device/device.h"
 
 namespace alaya {
@@ -30,16 +29,14 @@ class LmCacheStore {
   LmCacheStore(const LmCacheStore&) = delete;
   LmCacheStore& operator=(const LmCacheStore&) = delete;
 
-  /// Registers a context's KV (bytes accounted compressed, host-resident).
-  Status StoreContext(uint64_t id, const KvCache& kv);
-
   /// Drops a stored context, freeing its compressed host bytes — the
-  /// symmetric counterpart of StoreContext*, so host accounting returns to
-  /// baseline across store/remove cycles. Returns false for unknown ids.
+  /// symmetric counterpart of StoreContextBytes, so host accounting returns
+  /// to baseline across store/remove cycles. Returns false for unknown ids.
   bool RemoveContext(uint64_t id);
 
-  /// Accounting-only registration for modeled experiments: `tokens` of context
-  /// at `bytes_per_token` deployed KV bytes (e.g. ModelConfig::KvBytesPerToken).
+  /// Registers `tokens` of context at `bytes_per_token` deployed KV bytes
+  /// (e.g. ModelConfig::KvBytesPerToken), accounted compressed and
+  /// host-resident. Re-storing an id replaces its entry.
   Status StoreContextBytes(uint64_t id, size_t tokens, uint64_t bytes_per_token);
 
   struct LoadBreakdown {
@@ -56,7 +53,6 @@ class LmCacheStore {
   double DecodeStepSeconds(uint64_t id) const;
 
   uint64_t StoredBytes() const;
-  bool Contains(uint64_t id) const { return entries_.count(id) > 0; }
 
  private:
   struct Entry {

@@ -1,10 +1,11 @@
-// The sparse-attention methods compared in §9.1 (Table 5 / Fig. 9), sharing
+// The baseline attention methods compared in §9.1 (Table 5 / Fig. 9), sharing
 // one runner so differences are purely algorithmic:
 //   - Full Attention: attends everything (GPU, HF-eager cost model);
 //   - StreamingLLM:   window tokens only;
 //   - InfLLM:         coarse block retrieval, blocks cached on GPU;
-//   - Top-k:          RoarGraph top-k on CPU (RetrievalAttention-style);
-//   - DIPRS:          the paper's dynamic inner-product range search.
+//   - Top-k:          RoarGraph top-k on CPU (RetrievalAttention-style).
+// AlayaDB's own DIPRS rows do not run here: they run through Session, the
+// path that serves (inference_sim.h, SessionSource).
 #pragma once
 
 #include <memory>
@@ -12,38 +13,28 @@
 #include <vector>
 
 #include "src/attention/window_cache.h"
-#include "src/core/kv_cache.h"
+#include "src/core/context_store.h"
 #include "src/device/device.h"
 #include "src/index/coarse_index.h"
-#include "src/index/index_builder.h"
-#include "src/index/roargraph.h"
 #include "src/llm/qkv_generator.h"
 
 namespace alaya {
 
 struct MethodSpec {
-  enum class Kind { kFullAttention, kStreamingLlm, kInfLlm, kTopK, kDiprs };
-  Kind kind = Kind::kDiprs;
-  std::string label = "DIPRS";
+  enum class Kind { kFullAttention, kStreamingLlm, kInfLlm, kTopK };
+  Kind kind = Kind::kFullAttention;
+  std::string label = "Full Attention";
   /// [initial + last] device-cached window.
   WindowConfig window{128, 512};
-  /// Top-k retrieval budget (kTopK) — Table 5 uses 100 and 2000.
+  /// Top-k retrieval budget (kTopK) — Table 5 uses 100 and 2000; the beam
+  /// is max(k, 64) wide.
   size_t k = 100;
-  size_t ef = 0;  ///< Beam width (0 -> max(k, 64)).
-  /// DIPR beta in raw inner-product units (z-band width * sqrt(d)).
-  float beta = 16.0f;
-  size_t dipr_l0 = 128;
   /// InfLLM: block size and the device cache budget in tokens (= retrieval
   /// budget; more GPU memory buys more attended blocks — Fig. 9's x-axis).
   uint32_t infllm_block = 128;
   size_t infllm_cache_tokens = 4096;
 
-  static MethodSpec Full() {
-    MethodSpec s;
-    s.kind = Kind::kFullAttention;
-    s.label = "Full Attention";
-    return s;
-  }
+  static MethodSpec Full() { return {}; }
   static MethodSpec Streaming(size_t window_tokens) {
     MethodSpec s;
     s.kind = Kind::kStreamingLlm;
@@ -66,13 +57,6 @@ struct MethodSpec {
     s.k = k;
     return s;
   }
-  static MethodSpec Diprs(float beta) {
-    MethodSpec s;
-    s.kind = Kind::kDiprs;
-    s.label = "DIPRS";
-    s.beta = beta;
-    return s;
-  }
 };
 
 /// Per-head-call accounting. Modeled device time is split by how it scales
@@ -85,7 +69,6 @@ struct MethodHeadStats {
   double gpu_fixed_seconds = 0;  ///< Charged device time, context-independent.
   size_t retrieved = 0;
   size_t attended = 0;
-  SearchStats search;
 };
 
 class MethodRunner {
@@ -94,43 +77,34 @@ class MethodRunner {
       : model_(model), spec_(spec), window_(spec.window) {}
 
   /// Builds whatever the method needs over the context KV (offline, like the
-  /// paper: "the index of the input context is built in advance").
+  /// paper: "the index of the input context is built in advance"). Top-k
+  /// searches the fine indices of `imported` (ImportContext of `context`),
+  /// the graphs AlayaDB's own rows search; the other methods ignore it.
   Status Prepare(const SyntheticContext& context, SimEnvironment* env,
-                 const IndexBuildOptions& build_options = IndexBuildOptions{});
+                 const Context* imported = nullptr);
 
   /// Attends one (layer, q_head). q/out are head_dim floats.
-  /// `used_ids` (optional) receives the non-window token ids attended —
-  /// used by recovery-ratio analyses.
   Status AttendHead(uint32_t layer, uint32_t q_head, const float* q, float* out,
-                    MethodHeadStats* stats, std::vector<uint32_t>* used_ids = nullptr);
+                    MethodHeadStats* stats);
 
   /// Device-resident bytes of this method (KV at deployed precision + index
   /// structures that live on GPU). Model weights excluded.
   uint64_t GpuBytes() const;
 
   const MethodSpec& spec() const { return spec_; }
-  const ModelConfig& model() const { return model_; }
 
   /// Adjusts the top-k retrieval budget without rebuilding the prepared
-  /// index (parameter sweeps, Table 3 / Fig. 6).
-  void set_k(size_t k) {
-    spec_.k = k;
-    spec_.ef = 0;
-  }
-  /// Adjusts DIPR's beta on the prepared index.
-  void set_beta(float beta) { spec_.beta = beta; }
+  /// index (parameter sweeps, Table 3).
+  void set_k(size_t k) { spec_.k = k; }
 
  private:
-  const RoarGraph* FineIndex(uint32_t layer, uint32_t q_head) const;
-
   ModelConfig model_;
   MethodSpec spec_;
   WindowCache window_;
   const SyntheticContext* context_ = nullptr;
   SimEnvironment* env_ = nullptr;
-  std::vector<std::unique_ptr<RoarGraph>> fine_;      ///< [layer][kv_head] flattened.
+  const Context* imported_ = nullptr;
   std::vector<std::unique_ptr<CoarseIndex>> coarse_;  ///< [layer][kv_head] flattened.
-  IndexBuildStats build_stats_;
 };
 
 }  // namespace alaya

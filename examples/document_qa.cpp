@@ -8,7 +8,7 @@
 #include "src/common/timer.h"
 #include "src/common/string_util.h"
 #include "src/core/alaya_db.h"
-#include "src/llm/inference_sim.h"
+#include "src/llm/qkv_generator.h"
 #include "src/llm/quality.h"
 
 using namespace alaya;

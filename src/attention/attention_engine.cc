@@ -72,16 +72,4 @@ void ExactAttentionScores(const float* q, VectorSetView keys, size_t n,
   SoftmaxInPlace(scores, n);
 }
 
-float RecoveryRatio(const float* q, VectorSetView keys, size_t n,
-                    std::span<const uint32_t> ids) {
-  if (n == 0) return 1.0f;
-  std::vector<float> scores(n);
-  ExactAttentionScores(q, keys, n, scores.data());
-  float mass = 0.f;
-  for (uint32_t id : ids) {
-    if (id < n) mass += scores[id];
-  }
-  return mass;
-}
-
 }  // namespace alaya

@@ -50,13 +50,8 @@ void SparseAttentionHead(const float* q, VectorSetView keys, VectorSetView value
                          AttentionStats* stats = nullptr);
 
 /// Exact attention-score vector (softmax over all n logits) for analysis
-/// (recovery-ratio computation in benches/tests). scores must hold n floats.
+/// (Fig. 5's per-head critical-set sizes). scores must hold n floats.
 void ExactAttentionScores(const float* q, VectorSetView keys, size_t n,
                           float* scores);
-
-/// Recovery ratio (§6.1, after RetrievalAttention): fraction of total
-/// attention mass captured by the tokens in `ids`.
-float RecoveryRatio(const float* q, VectorSetView keys, size_t n,
-                    std::span<const uint32_t> ids);
 
 }  // namespace alaya

@@ -139,9 +139,8 @@ Status ContextSerializer::Persist(const Context& context, const std::string& pre
   };
   const IndexBuildStats& s = context.build_stats();
   const uint64_t kv_bytes = context.kv().DeployedBytes();
-  // The index bytes this spill writes: the key sidecars are re-encoded on
-  // restore, so warm start reserves disk for the rest only.
-  const uint64_t index_bytes = context.IndexBytes() - context.KeySidecarBytes();
+  // Warm start reserves disk for the index bytes this spill writes.
+  const uint64_t index_bytes = context.SpilledIndexBytes();
   const uint64_t stat_u64[] = {
       s.index_bytes,           s.num_indices,     s.training_queries,
       s.extended_indices,      s.reused_base_nodes,

@@ -38,7 +38,7 @@ struct ContextManifest {
   bool has_fine = false;
   int resident_device = 0;
   uint64_t kv_bytes = 0;     ///< DeployedBytes of the persisted KV cache.
-  uint64_t index_bytes = 0;  ///< In-memory bytes of the persisted indices.
+  uint64_t index_bytes = 0;  ///< Context::SpilledIndexBytes() when persisted.
   IndexBuildStats build_stats;
   std::vector<int32_t> tokens;
   /// KV quantization codec (manifest v3). v2 manifests — everything persisted

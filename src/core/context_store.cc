@@ -166,6 +166,12 @@ uint64_t Context::KeySidecarBytes() const {
   return b;
 }
 
+uint64_t Context::SpilledIndexBytes() const {
+  uint64_t b = 0;
+  for (const auto& f : fine_) b += f->graph().MemoryBytes();
+  return b;
+}
+
 void ContextStore::EmplaceResidentLocked(uint64_t id,
                                          std::shared_ptr<Context> context) {
   Entry entry;

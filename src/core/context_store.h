@@ -85,9 +85,14 @@ class Context {
   /// Host bytes of every index: fine and coarse indices plus the key
   /// sidecars.
   uint64_t IndexBytes() const;
-  /// The sidecars' share of IndexBytes(). A spill does not write them (they
-  /// are re-encoded from the keys on restore).
+  /// The sidecars' share of IndexBytes().
   uint64_t KeySidecarBytes() const;
+  /// The index bytes a spill writes: each fine index's adjacency. The key
+  /// sidecars and the fine indices' coded stores are re-encoded from the keys
+  /// on restore, and coarse indices are not persisted, so none of them is.
+  /// The disk tier reserves this (plus the deployed KV) and the manifest
+  /// records it as `index_bytes`.
+  uint64_t SpilledIndexBytes() const;
   const IndexBuildStats& build_stats() const { return build_stats_; }
   /// Restores persisted build accounting (ContextSerializer::Load): a
   /// warm-started context keeps its original construction cost, which the

@@ -139,9 +139,7 @@ Status TieredContextStore::PersistOnce(uint64_t id, const Context& context) {
   }
   ALAYA_RETURN_IF_ERROR(serializer_.Persist(context, SpillName(id),
                                             generation_.fetch_add(1)));
-  // The key sidecars are re-encoded on restore, never written.
-  const uint64_t disk_bytes = context.kv().DeployedBytes() + context.IndexBytes() -
-                              context.KeySidecarBytes();
+  const uint64_t disk_bytes = context.kv().DeployedBytes() + context.SpilledIndexBytes();
   {
     std::lock_guard<std::mutex> lk(meta_mu_);
     meta_[id].persisted = true;

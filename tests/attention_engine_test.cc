@@ -63,32 +63,6 @@ TEST(AttentionEngineTest, ExactScoresSumToOne) {
   EXPECT_NEAR(sum, 1.f, 1e-4);
 }
 
-TEST(AttentionEngineTest, RecoveryRatioProperties) {
-  const size_t n = 64, d = 8;
-  KvFixture kv(n, d, 5);
-  std::vector<float> q(d, 0.5f);
-  // Empty set -> 0; full set -> 1; monotone in set size.
-  std::vector<uint32_t> none;
-  EXPECT_NEAR(RecoveryRatio(q.data(), kv.keys.View(), n, none), 0.f, 1e-6);
-  std::vector<uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  EXPECT_NEAR(RecoveryRatio(q.data(), kv.keys.View(), n, all), 1.f, 1e-4);
-  std::vector<uint32_t> half(all.begin(), all.begin() + n / 2);
-  const float r_half = RecoveryRatio(q.data(), kv.keys.View(), n, half);
-  EXPECT_GT(r_half, 0.f);
-  EXPECT_LT(r_half, 1.f);
-}
-
-TEST(AttentionEngineTest, RecoveryIgnoresOutOfRangeIds) {
-  const size_t n = 16, d = 4;
-  KvFixture kv(n, d, 6);
-  std::vector<float> q(d, 1.f);
-  std::vector<uint32_t> ids = {0, 1, 999};
-  const float r = RecoveryRatio(q.data(), kv.keys.View(), n, ids);
-  std::vector<uint32_t> valid = {0, 1};
-  EXPECT_FLOAT_EQ(r, RecoveryRatio(q.data(), kv.keys.View(), n, valid));
-}
-
 TEST(AttentionEngineTest, PartitionRangeVsIdsEquivalent) {
   const size_t n = 40, d = 8;
   KvFixture kv(n, d, 7);

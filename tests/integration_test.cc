@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "src/core/alaya_db.h"
-#include "src/llm/inference_sim.h"
 #include "src/llm/qkv_generator.h"
 #include "src/llm/quality.h"
 

@@ -1,9 +1,11 @@
-#include "src/baselines/method_runner.h"
+#include "bench/harness/method_runner.h"
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/lmcache.h"
-#include "src/llm/inference_sim.h"
+#include <cstring>
+
+#include "bench/harness/inference_sim.h"
+#include "bench/harness/lmcache.h"
 
 namespace alaya {
 namespace {
@@ -28,24 +30,48 @@ struct RunnerFixture {
   float DiprBeta() const {
     return static_cast<float>(SuggestedDiprBeta(opts.spec, 64));
   }
+
+  /// The context imported for the Top-k and DIPRS rows (built once).
+  Context* Imported() {
+    if (imported == nullptr) {
+      auto stored = ImportContext(ctx, &env);
+      EXPECT_TRUE(stored.ok()) << stored.status().ToString();
+      imported = stored.TakeValue();
+    }
+    return imported.get();
+  }
+
+  /// The session row over the whole imported context, under MethodSpec's
+  /// default window.
+  std::unique_ptr<Session> DiprsSession() {
+    Context* stored = Imported();
+    return std::make_unique<Session>(
+        opts.model, DiprsSessionOptions(MethodSpec{}.window, DiprBeta()), stored,
+        stored->length(), &env);
+  }
+
+  std::shared_ptr<Context> imported;
 };
 
 TEST(MethodRunnerTest, AllMethodsProduceOutput) {
   RunnerFixture fx;
-  std::vector<MethodSpec> specs = {
-      MethodSpec::Full(), MethodSpec::Streaming(1024), MethodSpec::InfLlm(1024),
-      MethodSpec::TopK(64), MethodSpec::Diprs(fx.DiprBeta())};
+  std::vector<MethodSpec> specs = {MethodSpec::Full(), MethodSpec::Streaming(1024),
+                                   MethodSpec::InfLlm(1024), MethodSpec::TopK(64)};
   std::vector<float> q(64), out(64);
   fx.ctx.MakeDecodeQuery(0, 1, 0, q.data());
+  auto expect_output = [&](const AttentionSource& source) {
+    MethodHeadStats stats;
+    ASSERT_TRUE(source.attend(1, 0, q.data(), out.data(), &stats).ok()) << source.label;
+    EXPECT_GT(stats.attended, 0u) << source.label;
+    EXPECT_GT(Norm(out.data(), 64), 0.f) << source.label;
+  };
   for (auto& spec : specs) {
     MethodRunner runner(fx.opts.model, spec);
-    ASSERT_TRUE(runner.Prepare(fx.ctx, &fx.env).ok()) << spec.label;
-    MethodHeadStats stats;
-    ASSERT_TRUE(runner.AttendHead(1, 0, q.data(), out.data(), &stats).ok())
-        << spec.label;
-    EXPECT_GT(stats.attended, 0u) << spec.label;
-    EXPECT_GT(Norm(out.data(), 64), 0.f) << spec.label;
+    ASSERT_TRUE(runner.Prepare(fx.ctx, &fx.env, fx.Imported()).ok()) << spec.label;
+    expect_output(RunnerSource(&runner));
   }
+  auto session = fx.DiprsSession();
+  expect_output(SessionSource(session.get(), "DIPRS"));
 }
 
 TEST(MethodRunnerTest, AttendBeforePrepareFails) {
@@ -54,6 +80,9 @@ TEST(MethodRunnerTest, AttendBeforePrepareFails) {
   std::vector<float> q(64, 1.f), out(64);
   EXPECT_EQ(runner.AttendHead(0, 0, q.data(), out.data(), nullptr).code(),
             StatusCode::kFailedPrecondition);
+  // Top-k searches the imported context's graphs and has none without it.
+  MethodRunner topk(fx.opts.model, MethodSpec::TopK(8));
+  EXPECT_EQ(topk.Prepare(fx.ctx, &fx.env).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(MethodRunnerTest, GpuBytesOrdering) {
@@ -68,7 +97,11 @@ TEST(MethodRunnerTest, GpuBytesOrdering) {
   // Small recent window so InfLLM's device cache stays well below the tiny
   // test context (at paper scale the default 4K window is ~2% of context).
   const uint64_t infllm = bytes(MethodSpec::InfLlm(1024, /*recent=*/256));
-  const uint64_t diprs = bytes(MethodSpec::Diprs(fx.DiprBeta()));
+  auto session = fx.DiprsSession();
+  const uint64_t diprs = SessionSource(session.get(), "DIPRS").gpu_bytes;
+  // A fresh session holds exactly its window on device.
+  EXPECT_EQ(diprs, WindowCache(MethodSpec{}.window).Size(fx.ctx.num_tokens()) *
+                       fx.opts.model.KvBytesPerToken());
   // Full attention keeps everything on device; fine-grained methods only the
   // window; InfLLM sits in between (Fig. 9 / Table 1).
   EXPECT_GT(full, infllm);
@@ -79,14 +112,14 @@ TEST(MethodRunnerTest, GpuBytesOrdering) {
 
 TEST(MethodRunnerTest, DiprsRetrievesDynamicCounts) {
   RunnerFixture fx;
-  MethodRunner runner(fx.opts.model, MethodSpec::Diprs(fx.DiprBeta()));
-  ASSERT_TRUE(runner.Prepare(fx.ctx, &fx.env).ok());
+  auto session = fx.DiprsSession();
+  const AttentionSource source = SessionSource(session.get(), "DIPRS");
   std::vector<float> q(64), out(64);
   std::vector<size_t> counts;
   for (uint32_t h = 0; h < 4; ++h) {
     fx.ctx.MakeDecodeQuery(0, 1, h, q.data());
     MethodHeadStats stats;
-    ASSERT_TRUE(runner.AttendHead(1, h, q.data(), out.data(), &stats).ok());
+    ASSERT_TRUE(source.attend(1, h, q.data(), out.data(), &stats).ok());
     counts.push_back(stats.retrieved);
   }
   // Heads have different planted critical sizes; retrieved counts vary.
@@ -97,27 +130,39 @@ TEST(MethodRunnerTest, DiprsRetrievesDynamicCounts) {
   EXPECT_TRUE(any_different);
 }
 
-TEST(MethodRunnerTest, UsedIdsCoverWindowAndRetrieved) {
+TEST(InferenceSimTest, SessionRowEqualsSessionAttention) {
+  // The session row adds no math of its own: its per-head outputs for a step
+  // are Session::Attention's for that layer, bit for bit.
   RunnerFixture fx;
-  MethodRunner runner(fx.opts.model, MethodSpec::TopK(32));
-  ASSERT_TRUE(runner.Prepare(fx.ctx, &fx.env).ok());
-  std::vector<float> q(64), out(64);
-  fx.ctx.MakeDecodeQuery(0, 0, 0, q.data());
-  MethodHeadStats stats;
-  std::vector<uint32_t> used;
-  ASSERT_TRUE(runner.AttendHead(0, 0, q.data(), out.data(), &stats, &used).ok());
-  EXPECT_EQ(used.size(), stats.attended);
-  EXPECT_GT(used.size(), 32u);  // Window + retrieved.
+  auto row_session = fx.DiprsSession();
+  auto layer_session = fx.DiprsSession();
+  const AttentionSource source = SessionSource(row_session.get(), "DIPRS");
+  const ModelConfig& m = fx.opts.model;
+  const size_t d = m.head_dim;
+  std::vector<float> q(m.num_q_heads * d), want(q.size()), got(q.size());
+  for (uint32_t layer = 0; layer < m.num_layers; ++layer) {
+    fx.ctx.MakeDecodeQueryLayer(0, layer, q.data());
+    ASSERT_TRUE(layer_session->Attention(layer, q.data(), want.data()).ok());
+    for (uint32_t h = 0; h < m.num_q_heads; ++h) {
+      MethodHeadStats stats;
+      ASSERT_TRUE(
+          source.attend(layer, h, q.data() + h * d, got.data() + h * d, &stats).ok());
+      EXPECT_GT(stats.retrieved, 0u) << "layer " << layer << " head " << h;
+    }
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << "layer " << layer;
+  }
 }
 
 TEST(InferenceSimTest, EvaluateProducesConsistentStats) {
   RunnerFixture fx;
-  MethodRunner runner(fx.opts.model, MethodSpec::Diprs(fx.DiprBeta()));
-  ASSERT_TRUE(runner.Prepare(fx.ctx, &fx.env).ok());
+  auto session = fx.DiprsSession();
   EvalOptions eopts = MakeScaledEvalOptions(fx.opts.model);
   eopts.decode_steps = 2;
-  auto eval = EvaluateMethod(fx.ctx, &runner, eopts);
+  auto eval = EvaluateMethod(fx.ctx, SessionSource(session.get(), "DIPRS"), eopts);
   ASSERT_TRUE(eval.ok());
+  EXPECT_EQ(eval.value().label, "DIPRS");
+  EXPECT_EQ(eval.value().gpu_bytes, session->GpuResidentBytes());
   EXPECT_GT(eval.value().fidelity, 0.5);
   EXPECT_LE(eval.value().fidelity, 1.0);
   EXPECT_GT(eval.value().tpot_seconds, 0.0);
@@ -153,14 +198,8 @@ TEST(LmCacheTest, LoadCostsScaleWithContextLength) {
   LmCacheStore store(LmCacheOptions{}, &env);
   ModelConfig m = ModelConfig::Tiny();
   for (uint64_t id = 1; id <= 2; ++id) {
-    KvCache kv(m);
-    std::vector<float> buf(m.num_kv_heads * m.head_dim, 1.f);
     // Large enough that per-call launch overheads are negligible.
-    const size_t tokens = id * 20000;
-    for (uint32_t layer = 0; layer < m.num_layers; ++layer) {
-      for (size_t t = 0; t < tokens; ++t) kv.AppendToken(layer, buf.data(), buf.data());
-    }
-    ASSERT_TRUE(store.StoreContext(id, kv).ok());
+    ASSERT_TRUE(store.StoreContextBytes(id, id * 20000, m.KvBytesPerToken()).ok());
   }
   auto l1 = store.Load(1);
   auto l2 = store.Load(2);
@@ -170,7 +209,6 @@ TEST(LmCacheTest, LoadCostsScaleWithContextLength) {
   EXPECT_GT(l1.value().decompress_seconds, 0.0);
   EXPECT_GT(l1.value().transfer_seconds, 0.0);
   EXPECT_FALSE(store.Load(99).ok());
-  EXPECT_TRUE(store.Contains(1));
   EXPECT_GT(store.StoredBytes(), 0u);
   EXPECT_GT(store.DecodeStepSeconds(2), store.DecodeStepSeconds(1));
 }

@@ -241,6 +241,55 @@ TEST(TieredStoreTest, PageInCarriesTheSameKeySidecars) {
   }
 }
 
+TEST(TieredStoreTest, SpillReservesNoCodedStoreBytes) {
+  // A spill writes each fine index's adjacency but not the coded store an
+  // int8 index_codec keeps (AdoptGraph re-encodes it on restore). The disk
+  // reservation, and the manifest's index_bytes that warm start reserves
+  // from, leave every coded store out.
+  constexpr size_t kTokens = 200;
+  TempSpillDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  auto configure = [&](TierFixture* fx) {
+    fx->options.quant.index_codec = VectorCodec::kInt8;
+    fx->options.tier.spill_dir = dir.path;
+    fx->options.tier.durable = true;  // Persist on publish.
+  };
+
+  TierFixture fx;
+  configure(&fx);
+  uint64_t want = 0;
+  {
+    AlayaDB db(fx.options, &fx.env);
+    auto imported = db.Import(fx.TokenRange(0, kTokens), fx.MakeKv(kTokens, 71));
+    ASSERT_TRUE(imported.ok());
+    ASSERT_GE(db.tiers()->stats().persisted, 1u);
+    const std::shared_ptr<Context> ctx = db.contexts().FindShared(imported.value());
+    ASSERT_NE(ctx, nullptr);
+    uint64_t graphs = 0, coded = 0;
+    for (uint32_t layer = 0; layer < fx.model.num_layers; ++layer) {
+      for (uint32_t h = 0; h < fx.model.num_kv_heads; ++h) {
+        const RoarGraph* fine = ctx->FineIndex(layer, h * fx.model.GroupSize());
+        ASSERT_NE(fine, nullptr);
+        ASSERT_EQ(fine->codec(), VectorCodec::kInt8);
+        graphs += fine->graph().MemoryBytes();
+        coded += fine->MemoryBytes() - fine->graph().MemoryBytes();
+      }
+    }
+    ASSERT_GT(coded, 0u);
+    EXPECT_EQ(ctx->SpilledIndexBytes(), graphs);
+    EXPECT_EQ(ctx->IndexBytes(), ctx->KeySidecarBytes() + graphs + coded);
+    want = ctx->kv().DeployedBytes() + graphs;
+    EXPECT_EQ(fx.env.disk_usage().current(), want);
+  }
+
+  TierFixture restarted;
+  configure(&restarted);
+  restarted.options.tier.warm_start = true;
+  AlayaDB db(restarted.options, &restarted.env);
+  ASSERT_EQ(db.tiers()->stats().warm_started, 1u);
+  EXPECT_EQ(restarted.env.disk_usage().current(), want);
+}
+
 // --- Acceptance: a session pinning a context survives its eviction (the pin
 // --- keeps the payload alive; the store only drops its own reference), and
 // --- the later page-in decodes bit-identically.
